@@ -286,7 +286,7 @@ func BenchmarkAblationCache(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pg.ResetStats()
 				for _, q := range qs {
-					if _, err := ix.NearestNeighbor(q); err != nil {
+					if _, err := ix.NearestNeighborCell(q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -387,7 +387,7 @@ func BenchmarkNNCellQueryScaling(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ix.NearestNeighbor(qs[i%len(qs)]); err != nil {
+				if _, err := ix.NearestNeighborCell(qs[i%len(qs)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -154,7 +154,8 @@ func main() {
 	pg.ResetStats()
 	pg.DropCache()
 	// Queries cover the index's own data space — identical to the unit cube
-	// for built indexes, and the right region for any loaded one.
+	// for built indexes, and the right region for any loaded one. They run
+	// the paper's cell engine, whose cost -alg and -decompose change.
 	bounds := ix.Bounds()
 	var lat stats.Histogram
 	start := time.Now()
@@ -164,7 +165,7 @@ func main() {
 			q[j] = bounds.Lo[j] + rng.Float64()*(bounds.Hi[j]-bounds.Lo[j])
 		}
 		qStart := time.Now()
-		got, err := ix.NearestNeighbor(q)
+		got, err := ix.NearestNeighborCell(q)
 		lat.Observe(time.Since(qStart))
 		if err != nil {
 			fatalf("query %d: %v", i, err)
@@ -600,7 +601,7 @@ func runDemo(seed int64) {
 		fatalf("build: %v", err)
 	}
 	q := vec.Point{rng.Float64(), rng.Float64()}
-	nb, err := ix.NearestNeighbor(q)
+	nb, err := ix.NearestNeighborCell(q)
 	if err != nil {
 		fatalf("query: %v", err)
 	}

@@ -40,7 +40,7 @@ func main() {
 
 	// Nearest-neighbor search is now a point query plus candidate refinement.
 	query := vec.Point{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
-	nb, err := index.NearestNeighbor(query)
+	nb, err := index.NearestNeighborCell(query)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -230,7 +230,7 @@ func benchAutoThreshold(n, d, queries int) ([]AutoThresholdResult, error) {
 		qStart := time.Now()
 		hits := 0
 		for _, q := range qs {
-			nb, err := ix.NearestNeighbor(q)
+			nb, err := ix.NearestNeighborCell(q)
 			if err != nil {
 				return nil, fmt.Errorf("%s: query: %w", v.name, err)
 			}

@@ -78,9 +78,10 @@ type QueryBenchReport struct {
 	Scale  []QueryScaleResult `json:"scale,omitempty"`
 }
 
-// BenchQuery measures NearestNeighbor for every constraint-selection
-// algorithm at each dimension via testing.Benchmark, on both the QueryCtx
-// engine and the retained seed path, over a shared in-space query stream.
+// BenchQuery measures the cell engine (NearestNeighborCell) for every
+// constraint-selection algorithm at each dimension via testing.Benchmark, on
+// both the QueryCtx engine and the retained seed path, over a shared
+// in-space query stream.
 func BenchQuery(n int, dims []int) (*QueryBenchReport, error) {
 	if n <= 0 {
 		n = 250
@@ -113,7 +114,7 @@ func BenchQuery(n int, dims []int) (*QueryBenchReport, error) {
 			statsBefore := ix.Stats()
 			pagesBefore := pg.Stats().Accesses
 			for _, q := range qs {
-				if _, err := ix.NearestNeighbor(q); err != nil {
+				if _, err := ix.NearestNeighborCell(q); err != nil {
 					return nil, err
 				}
 			}
@@ -132,7 +133,7 @@ func BenchQuery(n int, dims []int) (*QueryBenchReport, error) {
 					}
 				})
 			}
-			ctx := measure(ix.NearestNeighbor)
+			ctx := measure(ix.NearestNeighborCell)
 			legacy := measure(ix.NearestNeighborLegacy)
 			if benchErr != nil {
 				return nil, benchErr

@@ -132,7 +132,7 @@ func runNNCell(pts, qs []vec.Point, cfg Config, opts nncell.Options) (measured, 
 	pg.ResetStats()
 	start = time.Now()
 	for _, q := range qs {
-		if _, err := ix.NearestNeighbor(q); err != nil {
+		if _, err := ix.NearestNeighborCell(q); err != nil {
 			return measured{}, nil, err
 		}
 	}

@@ -25,10 +25,7 @@ func assertExactQueries(t *testing.T, ix *Index, live []vec.Point, idToLive map[
 		q := randQuery(rng, d)
 
 		wantIdx, wantD2 := oracle.Nearest(q)
-		got, err := ix.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := nearestBoth(t, ix, q)
 		if math.Abs(got.Dist2-wantD2) > 1e-12 {
 			t.Fatalf("trial %d: NN dist2 %v, oracle %v", trial, got.Dist2, wantD2)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/pager"
 	"repro/internal/vec"
 )
 
@@ -98,6 +99,43 @@ func BenchmarkQueryBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ix.NearestNeighborBatch(qs, 4); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineCrossover times the two exact NN engines on one index of
+// the serve shape's per-shard size: n uniform points (a shard of a
+// 4-way grid-sharded index of 4n points), NN-Direction cells, a 64-page
+// pager and fresh uniform queries. engine=cell is NearestNeighborCell,
+// engine=tree is NearestNeighbor; candidates/op is the Stats.Candidates
+// refinement work per query. EXPERIMENTS.md §"Exact engine crossover"
+// tabulates it.
+func BenchmarkEngineCrossover(b *testing.B) {
+	for _, n := range []int{2500, 5000} {
+		for _, d := range []int{2, 4, 6, 8} {
+			b.Run(fmt.Sprintf("n=%d/d=%d", n, d), func(b *testing.B) {
+				pts := uniquePoints(b, dataset.NameUniform, int64(n+d), n, d)
+				ix, err := Build(pts, vec.UnitCube(d), pager.New(pager.Config{CachePages: 64}),
+					Options{Algorithm: NNDirection})
+				if err != nil {
+					b.Fatal(err)
+				}
+				qs := dataset.Uniform(rand.New(rand.NewSource(int64(d))), 1<<14, d)
+				for _, e := range []struct {
+					name string
+					nn   func(vec.Point) (Neighbor, error)
+				}{{"cell", ix.NearestNeighborCell}, {"tree", ix.NearestNeighbor}} {
+					b.Run("engine="+e.name, func(b *testing.B) {
+						before := ix.Stats().Candidates
+						for i := 0; i < b.N; i++ {
+							if _, err := e.nn(qs[i%len(qs)]); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.ReportMetric(float64(ix.Stats().Candidates-before)/float64(b.N), "candidates/op")
+					})
+				}
+			})
 		}
 	}
 }

@@ -27,7 +27,11 @@ func TestConcurrentQueries(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 200; i++ {
 				q := randQuery(rng, 4)
-				got, err := ix.NearestNeighbor(q)
+				nn := ix.NearestNeighbor
+				if i%2 == 1 {
+					nn = ix.NearestNeighborCell
+				}
+				got, err := nn(q)
 				if err != nil {
 					errs <- err
 					return
@@ -70,7 +74,11 @@ func TestConcurrentQueriesWithWrites(t *testing.T) {
 				// the returned id must be a live point at the returned
 				// distance (up to the point being deleted in between).
 				q := randQuery(rng, 3)
-				nb, err := ix.NearestNeighbor(q)
+				nn := ix.NearestNeighbor
+				if rng.Intn(2) == 1 {
+					nn = ix.NearestNeighborCell
+				}
+				nb, err := nn(q)
 				if err != nil {
 					errs <- err
 					return
@@ -112,10 +120,7 @@ func TestConcurrentQueriesWithWrites(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := randQuery(rng, 3)
 		_, want := oracle.Nearest(q)
-		got, err := ix.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := nearestBoth(t, ix, q)
 		if math.Abs(got.Dist2-want) > 1e-12 {
 			t.Fatalf("trial %d: got %v want %v", trial, got.Dist2, want)
 		}
@@ -123,9 +128,10 @@ func TestConcurrentQueriesWithWrites(t *testing.T) {
 }
 
 // TestConcurrentMixedWorkloadWithSave reproduces the serving layer's access
-// pattern under the race detector: every read entry point (NearestNeighbor,
-// KNearest, CandidatesAppend — the /v1/* handlers) races Insert/Delete and
-// Save, which the snapshot loop runs while queries are in flight.
+// pattern under the race detector: every read entry point (NearestNeighbor
+// and NearestNeighborCell, KNearest, CandidatesAppend — the /v1/* handlers
+// and the cell engine) races Insert/Delete and Save, which the snapshot loop
+// runs while queries are in flight.
 func TestConcurrentMixedWorkloadWithSave(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 106, 400, 3)
 	ix := mustBuild(t, pts[:250], Options{Algorithm: Sphere, Decompose: 2})
@@ -147,7 +153,11 @@ func TestConcurrentMixedWorkloadWithSave(t *testing.T) {
 				q := randQuery(rng, 3)
 				switch i % 3 {
 				case 0:
-					nb, err := ix.NearestNeighbor(q)
+					nn := ix.NearestNeighbor
+					if i%2 == 1 {
+						nn = ix.NearestNeighborCell
+					}
+					nb, err := nn(q)
 					if err != nil {
 						errs <- err
 						return
@@ -234,10 +244,7 @@ func TestConcurrentMixedWorkloadWithSave(t *testing.T) {
 		q := randQuery(rng, 3)
 		_, want := oracle.Nearest(q)
 		for _, idx := range []*Index{ix, reloaded} {
-			got, err := idx.NearestNeighbor(q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := nearestBoth(t, idx, q)
 			if math.Abs(got.Dist2-want) > 1e-12 {
 				t.Fatalf("trial %d: got %v want %v", trial, got.Dist2, want)
 			}

@@ -62,10 +62,7 @@ func TestInsertQueriesStayExact(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			q := randQuery(rng, 4)
 			_, wantD2 := oracle.Nearest(q)
-			got, err := ix.NearestNeighbor(q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := nearestBoth(t, ix, q)
 			if math.Abs(got.Dist2-wantD2) > 1e-12 {
 				t.Fatalf("alg %v trial %d: got %v want %v", opts.Algorithm, trial, got.Dist2, wantD2)
 			}
@@ -123,10 +120,7 @@ func TestDeleteMaintainsExactness(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q := randQuery(rng, 2)
 		_, wantD2 := oracle.Nearest(q)
-		got, err := ix.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := nearestBoth(t, ix, q)
 		if math.Abs(got.Dist2-wantD2) > 1e-12 {
 			t.Fatalf("trial %d: got %v want %v", trial, got.Dist2, wantD2)
 		}
@@ -217,10 +211,7 @@ func TestMixedDynamicWorkload(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				q := randQuery(rng, 3)
 				_, wantD2 := oracle.Nearest(q)
-				got, err := ix.NearestNeighbor(q)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := nearestBoth(t, ix, q)
 				if math.Abs(got.Dist2-wantD2) > 1e-12 {
 					t.Fatalf("op %d trial %d: got %v want %v", op, trial, got.Dist2, wantD2)
 				}
@@ -281,10 +272,7 @@ func TestInsertRollbackOnFailure(t *testing.T) {
 			for trial := 0; trial < 25; trial++ {
 				q := randQuery(rng, 2)
 				_, wantD2 := oracle.Nearest(q)
-				got, err := ix.NearestNeighbor(q)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := nearestBoth(t, ix, q)
 				if math.Abs(got.Dist2-wantD2) > 1e-12 {
 					t.Fatalf("trial %d: got %v want %v", trial, got.Dist2, wantD2)
 				}

@@ -183,10 +183,18 @@ type Stats struct {
 	ConstraintPoints uint64
 	// Fragments is the number of rectangles in the index.
 	Fragments uint64
-	// Queries, Candidates and Fallbacks describe query-time behaviour:
-	// candidate cells inspected, and exact-scan fallbacks taken (0 in
-	// normal operation).
+	// Queries, Candidates and Fallbacks describe query-time behaviour.
+	// Candidates is the refinement work of NN queries: the points the cell
+	// engine's point query returned, plus the leaf entries whose distance a
+	// data-tree NN search (tree engine, bounded search, fallback
+	// verification) evaluated; k > 1 searches add none. Fallbacks counts
+	// clamp-and-verify fallbacks of the cell engine (0 for in-space queries
+	// in normal operation).
 	Queries, Candidates, Fallbacks uint64
+	// Engines counts NN queries (k = 1) per answering engine, indexed by
+	// Engine: NearestNeighborCell (cell), unbounded data-tree searches
+	// (tree) and bounded ones (bounded).
+	Engines [NumEngines]uint64
 	// Updates counts affected-cell recomputations due to Insert/Delete.
 	Updates uint64
 	// PruneVisited counts the data points retrieved by the Correct
@@ -239,6 +247,7 @@ type Index struct {
 		lpSolves, lpPivots, constraintPoints atomic.Uint64
 		fragments                            atomic.Uint64
 		queries, candidates, fallbacks       atomic.Uint64
+		engines                              [NumEngines]atomic.Uint64
 		updates                              atomic.Uint64
 		pruneVisited                         atomic.Uint64
 		staleCells                           atomic.Int64
@@ -557,6 +566,7 @@ func (ix *Index) Stats() Stats {
 		Queries:             ix.stats.queries.Load(),
 		Candidates:          ix.stats.candidates.Load(),
 		Fallbacks:           ix.stats.fallbacks.Load(),
+		Engines:             ix.engineCounts(),
 		Updates:             ix.stats.updates.Load(),
 		PruneVisited:        ix.stats.pruneVisited.Load(),
 		StaleCells:          uint64(stale),
@@ -564,6 +574,13 @@ func (ix *Index) Stats() Stats {
 		Repairs:             ix.stats.repairs.Load(),
 		RepairFailures:      ix.stats.repairFailures.Load(),
 	}
+}
+
+func (ix *Index) engineCounts() (out [NumEngines]uint64) {
+	for e := range out {
+		out[e] = ix.stats.engines[e].Load()
+	}
+	return out
 }
 
 // ApproxVolumeSum returns Σ vol(fragments)/vol(DS): the expected number of

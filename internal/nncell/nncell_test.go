@@ -114,10 +114,7 @@ func TestExactNearestNeighborAllConfigurations(t *testing.T) {
 				for trial := 0; trial < 25; trial++ {
 					q := randQuery(rng, d)
 					wantIdx, wantD2 := oracle.Nearest(q)
-					got, err := ix.NearestNeighbor(q)
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := nearestBoth(t, ix, q)
 					if math.Abs(got.Dist2-wantD2) > 1e-12 {
 						t.Fatalf("%s/%s d=%d trial %d: got id %d dist %v, want id %d dist %v",
 							cfg.name, shape, d, trial, got.ID, got.Dist2, wantIdx, wantD2)
@@ -136,27 +133,22 @@ func TestSelfQueries(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameClustered, 44, 150, 5)
 	ix := mustBuild(t, pts, Options{Algorithm: Sphere, Decompose: 4})
 	for i, p := range pts {
-		got, err := ix.NearestNeighbor(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := nearestBoth(t, ix, p)
 		if got.ID != i || got.Dist2 != 0 {
 			t.Fatalf("self-query %d: got id %d dist %v", i, got.ID, got.Dist2)
 		}
 	}
 }
 
-// Out-of-data-space queries fall back to the exact scan.
+// Out-of-data-space queries fall back to the exact scan. The fallback (and
+// its counter) belongs to the cell engine: nearestBoth runs it once.
 func TestOutOfBoundsQueryExact(t *testing.T) {
 	pts := uniquePoints(t, dataset.NameUniform, 45, 80, 3)
 	ix := mustBuild(t, pts, Options{Algorithm: Correct})
 	oracle := scan.New(pts, vec.Euclidean{}, newTestPager())
 	q := vec.Point{1.5, -0.3, 0.5}
 	wantIdx, wantD2 := oracle.Nearest(q)
-	got, err := ix.NearestNeighbor(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := nearestBoth(t, ix, q)
 	if got.ID != wantIdx || math.Abs(got.Dist2-wantD2) > 1e-12 {
 		t.Fatalf("got %v, want id %d dist %v", got, wantIdx, wantD2)
 	}
@@ -370,10 +362,7 @@ func TestMaxConstraintPointsSoundness(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q := randQuery(rng, 4)
 		_, want := oracle.Nearest(q)
-		got, err := ix.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := nearestBoth(t, ix, q)
 		if math.Abs(got.Dist2-want) > 1e-12 {
 			t.Fatalf("trial %d: got %v want %v", trial, got.Dist2, want)
 		}

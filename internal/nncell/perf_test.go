@@ -75,8 +75,9 @@ func TestCorrectBuildPruneVisited(t *testing.T) {
 	}
 }
 
-// TestNearestNeighborAllocs pins the warm query hot path to zero
-// allocations: the pooled QueryCtx owns every scratch buffer.
+// TestNearestNeighborAllocs pins the warm query hot paths of both engines
+// (NearestNeighbor and NearestNeighborCell) to zero allocations: the pooled
+// QueryCtx owns every scratch buffer.
 func TestNearestNeighborAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -87,20 +88,25 @@ func TestNearestNeighborAllocs(t *testing.T) {
 	// touching its LRU, so measured allocations are the index's own.
 	ix := mustBuild(t, pts, Options{Algorithm: NNDirection})
 	qs := dataset.Uniform(rand.New(rand.NewSource(24)), 64, d)
-	for _, q := range qs { // warm
-		if _, err := ix.NearestNeighbor(q); err != nil {
-			t.Fatal(err)
+	for name, nn := range map[string]func(vec.Point) (Neighbor, error){
+		"NearestNeighbor":     ix.NearestNeighbor,
+		"NearestNeighborCell": ix.NearestNeighborCell,
+	} {
+		for _, q := range qs { // warm
+			if _, err := nn(q); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	k := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := ix.NearestNeighbor(qs[k%len(qs)]); err != nil {
-			t.Fatal(err)
+		k := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := nn(qs[k%len(qs)]); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		})
+		if allocs != 0 {
+			t.Fatalf("%s allocates %v/op, want 0", name, allocs)
 		}
-		k++
-	})
-	if allocs != 0 {
-		t.Fatalf("NearestNeighbor allocates %v/op, want 0", allocs)
 	}
 }
 

@@ -66,10 +66,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := randQuery(rng, 5)
 		_, wantD2 := oracle.Nearest(q)
-		got, err := loaded.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := nearestBoth(t, loaded, q)
 		if math.Abs(got.Dist2-wantD2) > 1e-12 {
 			t.Fatalf("trial %d: got %v want %v", trial, got.Dist2, wantD2)
 		}

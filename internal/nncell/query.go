@@ -26,7 +26,7 @@ type Neighbor struct {
 // not safe for concurrent use.
 type QueryCtx struct {
 	tc    xtree.QueryCtx   // cell-tree traversal scratch
-	dc    xtree.QueryCtx   // data-tree traversal scratch (k-NN, fallback)
+	dc    xtree.QueryCtx   // data-tree traversal scratch (tree engine, bounded search, k-NN, fallback)
 	ids   []int64          // cell point-query candidate buffer
 	nbrs  []xtree.Neighbor // data-tree result buffer
 	clamp vec.Point        // clamp-to-bounds buffer of the fallback
@@ -44,15 +44,40 @@ func (ix *Index) acquireCtx() *QueryCtx {
 // releaseCtx returns a context to the pool for reuse.
 func (ix *Index) releaseCtx(qc *QueryCtx) { ix.ctxPool.Put(qc) }
 
-// NearestNeighbor answers an exact nearest-neighbor query: a point query on
-// the cell index retrieves every approximation containing q, and the true
-// nearest neighbor is the closest of those candidate points (Lemma 2: no
-// false dismissals). Queries outside the data space — where NN-cells do not
-// tile — and the (numerically pathological, counted) empty-candidate case
-// take the clamp-and-verify fallback, which stays exact and sub-linear.
-//
-// The traversal runs on a pooled QueryCtx; the warm path performs no
-// allocations.
+// Engine identifies the exact search that answered a nearest-neighbor query.
+// Every engine returns the same answer (the closest live point, distance ties
+// broken toward the lowest id); they differ only in cost.
+type Engine int
+
+const (
+	// EngineCell is the paper's point query on the cell tree plus candidate
+	// refinement (with the clamp-and-verify fallback outside the cells):
+	// NearestNeighborCell.
+	EngineCell Engine = iota
+	// EngineTree is best-first search [HS 95] on the data X-tree, k = 1:
+	// NearestNeighbor, KNearest with k = 1, NearestWithin with bound +Inf.
+	EngineTree
+	// EngineBounded is best-first search on the data X-tree pruned by a
+	// caller's inclusive distance bound (NearestWithin with a finite bound:
+	// the later shards of a sharded query).
+	EngineBounded
+	// NumEngines sizes per-engine counter arrays.
+	NumEngines
+)
+
+var engineNames = [NumEngines]string{"cell", "tree", "bounded"}
+
+// String returns the engine's metric label.
+func (e Engine) String() string { return engineNames[e] }
+
+// NearestNeighbor answers an exact nearest-neighbor query by best-first
+// search on the data X-tree, distance ties broken toward the lowest id. The
+// serving paths use it: at the serve shape (grid-sharded, NN-Direction
+// cells, d >= 4) the cells overlap enough that the tree answers in a
+// fraction of the cell engine's time (Fig. 10; EXPERIMENTS.md "Exact engine
+// crossover"). NearestNeighborCell is the paper's cell engine and returns
+// the same answer. The traversal runs on a pooled QueryCtx; the warm path
+// performs no allocations.
 func (ix *Index) NearestNeighbor(q vec.Point) (Neighbor, error) {
 	qc := ix.acquireCtx()
 	defer ix.releaseCtx(qc)
@@ -61,16 +86,73 @@ func (ix *Index) NearestNeighbor(q vec.Point) (Neighbor, error) {
 	return ix.nearestLocked(qc, q)
 }
 
-// nearestLocked is the shared NN core; callers hold ix.mu (read side) and
-// provide the scratch context.
-func (ix *Index) nearestLocked(qc *QueryCtx, q vec.Point) (Neighbor, error) {
+// NearestNeighborCell answers q with the cell engine: a point query on the
+// cell index retrieves every approximation containing q, and the true
+// nearest neighbor is the closest of those candidate points (Lemma 2: no
+// false dismissals), ties broken toward the lowest id. Queries outside the
+// data space — where NN-cells do not tile — and the (numerically
+// pathological, counted) empty-candidate case take the clamp-and-verify
+// fallback, which stays exact and sub-linear. The reproduction experiments
+// time it as "NN-cell"; it is allocation-free when warm.
+func (ix *Index) NearestNeighborCell(q vec.Point) (Neighbor, error) {
+	qc := ix.acquireCtx()
+	defer ix.releaseCtx(qc)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	if ix.alive == 0 {
 		return Neighbor{}, ErrEmpty
 	}
 	ix.stats.queries.Add(1)
+	ix.stats.engines[EngineCell].Add(1)
+	return ix.cellNearest(qc, q), nil
+}
+
+// NearestWithin returns the closest live point to q whose squared distance is
+// at most bound (inclusive), ties broken toward the lowest id; ok is false
+// when there is none, in particular on an empty index. A sharded query
+// passes its best distance so far, and the shard then only verifies that
+// nothing closer (or equally close with a lower id) exists. bound = +Inf is
+// NearestNeighbor.
+func (ix *Index) NearestWithin(q vec.Point, bound float64) (nb Neighbor, ok bool) {
+	qc := ix.acquireCtx()
+	defer ix.releaseCtx(qc)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.nearestWithinLocked(qc, q, bound)
+}
+
+// nearestLocked is the shared NN core; callers hold ix.mu (read side) and
+// provide the scratch context.
+func (ix *Index) nearestLocked(qc *QueryCtx, q vec.Point) (Neighbor, error) {
+	nb, ok := ix.nearestWithinLocked(qc, q, math.Inf(1))
+	if !ok {
+		return Neighbor{}, ErrEmpty
+	}
+	return nb, nil
+}
+
+// nearestWithinLocked is NearestWithin under ix.mu (read side). It counts one
+// query and the engine that answered it: bounded for a finite bound, tree
+// otherwise.
+func (ix *Index) nearestWithinLocked(qc *QueryCtx, q vec.Point, bound float64) (Neighbor, bool) {
+	if ix.alive == 0 {
+		return Neighbor{}, false
+	}
+	ix.stats.queries.Add(1)
+	e := EngineTree
+	if bound < math.Inf(1) {
+		e = EngineBounded
+	}
+	ix.stats.engines[e].Add(1)
+	nb := ix.treeNearest(qc, q, bound)
+	return nb, nb.ID >= 0
+}
+
+// cellNearest is the cell engine.
+func (ix *Index) cellNearest(qc *QueryCtx, q vec.Point) Neighbor {
 	if !ix.bounds.Contains(q) {
 		ix.stats.fallbacks.Add(1)
-		return ix.fallbackNearest(qc, q), nil
+		return ix.fallbackNearest(qc, q)
 	}
 	// The fused tree call folds the candidate-distance minimum into the point
 	// query itself, reading coordinates from the SoA mirror. Dead ids never
@@ -81,9 +163,23 @@ func (ix *Index) nearestLocked(qc *QueryCtx, q vec.Point) (Neighbor, error) {
 	ix.stats.candidates.Add(uint64(seen))
 	if !ok {
 		ix.stats.fallbacks.Add(1)
-		return ix.fallbackNearest(qc, q), nil
+		return ix.fallbackNearest(qc, q)
 	}
-	return Neighbor{ID: int(data), Dist2: d2}, nil
+	return Neighbor{ID: int(data), Dist2: d2}
+}
+
+// treeNearest is best-first search on the data X-tree for the closest live
+// point within the inclusive bound (ID -1 when there is none). The data tree
+// holds exactly the live points, and KNearestCtx breaks distance ties toward
+// the smaller payload, which is the point id. Its leaf distance evaluations
+// count as candidates: the refinement work of this engine.
+func (ix *Index) treeNearest(qc *QueryCtx, q vec.Point, bound float64) Neighbor {
+	qc.nbrs = ix.dataIdx.KNearestCtx(&qc.dc, q, 1, bound, qc.nbrs[:0])
+	ix.stats.candidates.Add(uint64(qc.dc.LeafEvals()))
+	if len(qc.nbrs) == 0 {
+		return Neighbor{ID: -1, Dist2: math.Inf(1)}
+	}
+	return Neighbor{ID: int(qc.nbrs[0].Entry.Data), Dist2: qc.nbrs[0].Dist2}
 }
 
 // fallbackNearest answers queries the cell point query cannot: points outside
@@ -107,7 +203,7 @@ func (ix *Index) fallbackNearest(qc *QueryCtx, q vec.Point) Neighbor {
 	copy(qc.clamp, q)
 	ix.bounds.ClampInPlace(qc.clamp)
 
-	best := Neighbor{ID: -1, Dist2: math.Inf(1)}
+	bound := math.Inf(1)
 	d := ix.dim
 	qc.ids = ix.tree.PointQueryData(&qc.tc, qc.clamp, qc.ids[:0])
 	for _, id64 := range qc.ids {
@@ -116,22 +212,13 @@ func (ix *Index) fallbackNearest(qc *QueryCtx, q vec.Point) Neighbor {
 			continue
 		}
 		// Distance from the original query point, via the SoA mirror.
-		d2 := vec.Dist2Flat(q, ix.ptsFlat[id*d:(id+1)*d])
-		if d2 < best.Dist2 || (d2 == best.Dist2 && id < best.ID) {
-			best = Neighbor{ID: id, Dist2: d2}
-		}
+		bound = min(bound, vec.Dist2Flat(q, ix.ptsFlat[id*d:(id+1)*d]))
 	}
-	// Exact verification: the bound is inclusive, so the seed candidate (a
-	// live point in the data index) is rediscovered even if nothing beats it,
-	// and an empty seed (Dist2 = +Inf) degenerates to an unbounded search.
-	qc.nbrs = ix.dataIdx.KNearestCtx(&qc.dc, q, 1, best.Dist2, qc.nbrs[:0])
-	if len(qc.nbrs) > 0 {
-		id := int(qc.nbrs[0].Entry.Data)
-		if d2 := qc.nbrs[0].Dist2; d2 < best.Dist2 || (d2 == best.Dist2 && (best.ID < 0 || id < best.ID)) {
-			best = Neighbor{ID: id, Dist2: d2}
-		}
-	}
-	return best
+	// Exact verification: the bound is inclusive and the seed candidate is a
+	// live point of the data tree, so the search always finds the closest
+	// point (lowest id among ties); an empty seed (bound = +Inf) degenerates
+	// to an unbounded search.
+	return ix.treeNearest(qc, q, bound)
 }
 
 // NearestNeighborLegacy is the seed (pre-query-engine) recursive
@@ -218,13 +305,13 @@ func (ix *Index) CandidatesAppend(dst []int, q vec.Point) []int {
 
 // KNearest answers an exact k-nearest-neighbor query. k-NN via order-k cells
 // is the paper's stated future work; this implementation answers k = 1
-// through the cell index and larger k through the embedded data X-tree
-// (exact best-first search), so the index is usable as a drop-in k-NN
-// structure either way.
+// like NearestNeighbor (data-tree best-first search) and larger k through the
+// embedded data X-tree (exact best-first search), so the index is usable as
+// a drop-in k-NN structure either way.
 //
 // k <= 0 returns ErrBadK without touching the index or its stats; if k
 // exceeds the number of live points the result is exactly the live set
-// (tombstones excluded), sorted by distance. Every locked path holds the
+// (tombstones excluded), sorted by (distance, id). Every locked path holds the
 // read lock once and counts exactly one query.
 func (ix *Index) KNearest(q vec.Point, k int) ([]Neighbor, error) {
 	if k <= 0 {
@@ -242,6 +329,16 @@ func (ix *Index) KNearest(q vec.Point, k int) ([]Neighbor, error) {
 // allocation-free. Results are appended ascending by (Dist2, ID); dst is
 // returned unchanged on error.
 func (ix *Index) KNearestAppend(dst []Neighbor, q vec.Point, k int) ([]Neighbor, error) {
+	return ix.KNearestWithinAppend(dst, q, k, math.Inf(1))
+}
+
+// KNearestWithinAppend is KNearestAppend restricted to points whose squared
+// distance is at most bound (inclusive): it appends the up to k nearest of
+// them, so the result may be shorter than k, or empty. A sharded k-NN query
+// passes the k-th distance of its merge heap once the heap is full. k = 1
+// takes the NearestWithin path; larger k run best-first search on the data
+// X-tree, which holds exactly the live points.
+func (ix *Index) KNearestWithinAppend(dst []Neighbor, q vec.Point, k int, bound float64) ([]Neighbor, error) {
 	if k <= 0 {
 		return dst, fmt.Errorf("%w (got k=%d)", ErrBadK, k)
 	}
@@ -249,29 +346,19 @@ func (ix *Index) KNearestAppend(dst []Neighbor, q vec.Point, k int) ([]Neighbor,
 	defer ix.releaseCtx(qc)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if k == 1 {
-		nb, err := ix.nearestLocked(qc, q)
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, nb), nil
-	}
 	if ix.alive == 0 {
 		return dst, ErrEmpty
 	}
+	if k == 1 {
+		if nb, ok := ix.nearestWithinLocked(qc, q, bound); ok {
+			dst = append(dst, nb)
+		}
+		return dst, nil
+	}
 	ix.stats.queries.Add(1)
-	slack := k + len(ix.points) - ix.alive // tombstone slack
-	qc.nbrs = ix.dataIdx.KNearestCtx(&qc.dc, q, slack, math.Inf(1), qc.nbrs[:0])
-	start := len(dst)
+	qc.nbrs = ix.dataIdx.KNearestCtx(&qc.dc, q, k, bound, qc.nbrs[:0])
 	for _, nb := range qc.nbrs {
-		id := int(nb.Entry.Data)
-		if ix.points[id] == nil {
-			continue
-		}
-		dst = append(dst, Neighbor{ID: id, Dist2: nb.Dist2})
-		if len(dst)-start == k {
-			break
-		}
+		dst = append(dst, Neighbor{ID: int(nb.Entry.Data), Dist2: nb.Dist2})
 	}
 	return dst, nil
 }

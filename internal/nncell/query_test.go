@@ -26,11 +26,11 @@ func TestEngineMatchesLegacy(t *testing.T) {
 						// fallback on both paths.
 						q[qi%d] += 1.5
 					}
-					want, errW := ix.NearestNeighborLegacy(q)
-					got, errG := ix.NearestNeighbor(q)
-					if errW != nil || errG != nil {
-						t.Fatalf("%s/%s/d=%d: errors %v / %v", name, alg, d, errW, errG)
+					want, err := ix.NearestNeighborLegacy(q)
+					if err != nil {
+						t.Fatalf("%s/%s/d=%d: %v", name, alg, d, err)
 					}
+					got := nearestBoth(t, ix, q)
 					if want != got {
 						t.Fatalf("%s/%s/d=%d q=%v: engine %+v, legacy %+v", name, alg, d, q, got, want)
 					}
@@ -66,10 +66,7 @@ func TestFallbackMatchesScanOracle(t *testing.T) {
 					q[rng.Intn(d)] = 1.0001
 				}
 				want := ix.scanNearest(q)
-				got, err := ix.NearestNeighbor(q)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := nearestBoth(t, ix, q)
 				if got != want {
 					t.Fatalf("%s/d=%d q=%v: fallback %+v, scan oracle %+v", alg, d, q, got, want)
 				}
@@ -141,10 +138,7 @@ func TestEngineExactAfterUpdates(t *testing.T) {
 	for qi := 0; qi < 100; qi++ {
 		q := randQuery(rng, 4)
 		want := ix.scanNearest(q)
-		got, err := ix.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := nearestBoth(t, ix, q)
 		if got != want {
 			t.Fatalf("q=%v: engine %+v, scan oracle %+v", q, got, want)
 		}

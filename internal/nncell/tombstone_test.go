@@ -78,10 +78,7 @@ func TestTombstoneCoordsUnreachable(t *testing.T) {
 		}
 		poison(q)
 
-		nb, err := ix.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nb := nearestBoth(t, ix, q)
 		check(trial, q, nb)
 
 		for _, k := range []int{1, 4} {

@@ -75,10 +75,7 @@ func assertSameState(t *testing.T, got, want *Index, seed int64) {
 	for trial := 0; trial < 10; trial++ {
 		q := randQuery(rng, got.Dim())
 		_, wantD2 := oracle.Nearest(q)
-		nb, err := got.NearestNeighbor(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nb := nearestBoth(t, got, q)
 		if math.Abs(nb.Dist2-wantD2) > 1e-12 {
 			t.Fatalf("trial %d: NN dist2 %v, oracle %v", trial, nb.Dist2, wantD2)
 		}

@@ -42,11 +42,11 @@ type QueryCtx struct {
 	li    int     // next position within surv
 	surv  []int32 // indices of the current leaf's matching entries
 
-	acc []float64 // per-entry sign accumulator of the leaf scans
+	acc []float64 // per-entry accumulator of the leaf scans (containment sign or squared distance)
 
-	heap  []nnHeapItem  // best-first node queue (min-heap by dist2)
-	best  []Neighbor    // k-NN candidates (max-heap by Dist2, root = worst)
-	res   []Neighbor    // NearestNeighborCtx result scratch (distinct from best)
+	heap  []nnHeapItem   // best-first node queue (min-heap by dist2)
+	best  []Neighbor     // k-NN candidates (max-heap by Dist2, root = worst)
+	res   []Neighbor     // NearestNeighborCtx result scratch (distinct from best)
 	pages []pager.PageID // batched page-access scratch of the one-shot queries
 }
 
@@ -228,7 +228,7 @@ func (qc *QueryCtx) matchLeafPoint(n *node, d int, p vec.Point) {
 		qc.surv = qc.surv[:0]
 		return
 	}
-	if cap(qc.surv) < m {
+	if cap(qc.surv) < m || cap(qc.acc) < m {
 		qc.surv = make([]int32, 0, 2*m)
 		qc.acc = make([]float64, 0, 2*m)
 	}
@@ -269,7 +269,7 @@ func (qc *QueryCtx) matchLeafRange(n *node, d int, r vec.Rect) {
 		qc.surv = qc.surv[:0]
 		return
 	}
-	if cap(qc.surv) < m {
+	if cap(qc.surv) < m || cap(qc.acc) < m {
 		qc.surv = make([]int32, 0, 2*m)
 		qc.acc = make([]float64, 0, 2*m)
 	}
@@ -365,9 +365,17 @@ func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, bound float64, out 
 		qc.heap = nodeHeapPop(qc.heap)
 		n := it.child
 		t.accessNode(n)
+		if n.level == 0 {
+			m := len(n.entries)
+			if cap(qc.acc) < m {
+				qc.acc = make([]float64, 0, 2*m)
+			}
+			qc.acc = qc.acc[:m]
+			vec.MinDist2All(q, n.flatLo, n.flatHi, qc.acc)
+		}
 		for i := range n.entries {
 			if n.level == 0 {
-				d2 := vec.MinDist2Stride(q, n.flatLo, n.flatHi, i, len(n.entries))
+				d2 := qc.acc[i]
 				if d2 > bound {
 					continue
 				}

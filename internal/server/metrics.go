@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/nncell"
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/wal"
@@ -191,12 +192,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP nncell_index_queries_total Queries answered by the index.\n")
 	fmt.Fprintf(w, "# TYPE nncell_index_queries_total counter\n")
 	fmt.Fprintf(w, "nncell_index_queries_total %d\n", ist.Queries)
-	fmt.Fprintf(w, "# HELP nncell_index_candidates_total Candidate cells inspected.\n")
+	fmt.Fprintf(w, "# HELP nncell_index_candidates_total NN refinement work: cell candidates plus data-tree leaf distances evaluated.\n")
 	fmt.Fprintf(w, "# TYPE nncell_index_candidates_total counter\n")
 	fmt.Fprintf(w, "nncell_index_candidates_total %d\n", ist.Candidates)
 	fmt.Fprintf(w, "# HELP nncell_index_fallbacks_total Exact-scan fallbacks taken.\n")
 	fmt.Fprintf(w, "# TYPE nncell_index_fallbacks_total counter\n")
 	fmt.Fprintf(w, "nncell_index_fallbacks_total %d\n", ist.Fallbacks)
+	fmt.Fprintf(w, "# HELP nncell_query_engine_total NN queries per answering engine (tree = unbounded data-tree search, bounded = later shards, cell = cell point query).\n")
+	fmt.Fprintf(w, "# TYPE nncell_query_engine_total counter\n")
+	for e, n := range ist.Engines {
+		fmt.Fprintf(w, "nncell_query_engine_total{engine=\"%s\"} %d\n", nncell.Engine(e), n)
+	}
 	fmt.Fprintf(w, "# HELP nncell_index_updates_total Affected-cell recomputations from Insert/Delete.\n")
 	fmt.Fprintf(w, "# TYPE nncell_index_updates_total counter\n")
 	fmt.Fprintf(w, "nncell_index_updates_total %d\n", ist.Updates)
@@ -250,6 +256,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# TYPE nncell_shard_queries_total counter\n")
 		for i, st := range sts {
 			fmt.Fprintf(w, "nncell_shard_queries_total{shard=\"%d\"} %d\n", i, st.Queries)
+		}
+		fmt.Fprintf(w, "# HELP nncell_shard_query_engine_total NN queries per shard and answering engine.\n")
+		fmt.Fprintf(w, "# TYPE nncell_shard_query_engine_total counter\n")
+		for i, st := range sts {
+			for e, n := range st.Engines {
+				fmt.Fprintf(w, "nncell_shard_query_engine_total{shard=\"%d\",engine=\"%s\"} %d\n", i, nncell.Engine(e), n)
+			}
 		}
 		fmt.Fprintf(w, "# HELP nncell_shard_updates_total Affected-cell recomputations per shard.\n")
 		fmt.Fprintf(w, "# TYPE nncell_shard_updates_total counter\n")

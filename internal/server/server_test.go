@@ -336,6 +336,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"nncell_pager_accesses_total",
 		"nncell_http_in_flight",
 		"nncell_index_fallbacks_total 0",
+		`nncell_query_engine_total{engine="cell"} 0`,
+		`nncell_query_engine_total{engine="tree"} 20`,
+		`nncell_query_engine_total{engine="bounded"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
@@ -608,6 +611,8 @@ func TestServeShardedIndex(t *testing.T) {
 		`nncell_shard_points{shard="0"}`,
 		`nncell_shard_points{shard="3"}`,
 		`nncell_shard_queries_total{shard="0"}`,
+		`nncell_shard_query_engine_total{shard="3",engine="bounded"}`,
+		`nncell_query_engine_total{engine="tree"}`,
 		"nncell_index_points 160",
 	} {
 		if !strings.Contains(text, want) {

@@ -166,32 +166,15 @@ func TestGridShardedOracleUnderChurn(t *testing.T) {
 		return batch
 	}
 
-	// oracleNN returns the minimum distance, the lowest gid achieving it,
-	// and how many live points achieve it — with the coincident -0.0/0.0
-	// pair in play, exact ties are real, and the winning id among tied
-	// points in the SAME shard is engine-order, not gid-order.
-	oracleNN := func(q vec.Point) (gid int, d2 float64, ties int) {
-		gid, d2 = -1, math.Inf(1)
+	// oracleKNN returns the k nearest live points ordered by (dist², gid):
+	// with the coincident -0.0/0.0 pair in play, exact ties are real, and
+	// every engine must break them toward the lowest gid.
+	oracleKNN := func(q vec.Point, k int) []nncell.Neighbor {
+		all := make([]nncell.Neighbor, 0, len(live))
 		for g, p := range live {
-			dd := (vec.Euclidean{}).Dist2(q, p)
-			switch {
-			case dd < d2:
-				gid, d2, ties = g, dd, 1
-			case dd == d2:
-				ties++
-				if g < gid {
-					gid = g
-				}
-			}
+			all = append(all, nncell.Neighbor{ID: g, Dist2: (vec.Euclidean{}).Dist2(q, p)})
 		}
-		return gid, d2, ties
-	}
-	oracleKDists := func(q vec.Point, k int) []float64 {
-		all := make([]float64, 0, len(live))
-		for _, p := range live {
-			all = append(all, (vec.Euclidean{}).Dist2(q, p))
-		}
-		sort.Float64s(all)
+		sort.Slice(all, func(i, j int) bool { return neighborLess(all[i], all[j]) })
 		if k > len(all) {
 			k = len(all)
 		}
@@ -202,39 +185,33 @@ func TestGridShardedOracleUnderChurn(t *testing.T) {
 		t.Helper()
 		for i := 0; i < 40; i++ {
 			q := randQuery(rng, d)
-			if i%8 == 0 { // aim some queries straight at tile boundaries
+			switch i % 8 {
+			case 0: // aim some queries straight at tile boundaries
 				q[0] = 1.0 / 3.0
 				q[1] = 2.0 / 3.0
+			case 4: // and some next to the coincident pair (a tie while both live)
+				copy(q, zero)
+				q[0] += 1e-3 * rng.Float64()
 			}
-			wantID, want, ties := oracleNN(q)
+			wantK := oracleKNN(q, k)
+			want := wantK[0].Dist2
 			nb, err := s.NearestNeighbor(q)
 			if err != nil {
 				t.Fatalf("round %d: NN: %v", round, err)
 			}
-			if nb.Dist2 != want {
-				t.Fatalf("round %d query %v: NN dist² %v, oracle %v", round, q, nb.Dist2, want)
-			}
-			if p, ok := s.Point(nb.ID); !ok || (vec.Euclidean{}).Dist2(q, p) != want {
-				t.Fatalf("round %d query %v: NN id %d is not a live point at the NN distance", round, q, nb.ID)
-			}
-			if ties == 1 && nb.ID != wantID {
-				t.Fatalf("round %d query %v: NN id %d, oracle id %d (unique minimum)", round, q, nb.ID, wantID)
+			if nb != wantK[0] {
+				t.Fatalf("round %d query %v: NN %+v, oracle %+v", round, q, nb, wantK[0])
 			}
 			nbs, err := s.KNearest(q, k)
 			if err != nil {
 				t.Fatalf("round %d: KNearest: %v", round, err)
 			}
-			wantK := oracleKDists(q, k)
 			if len(nbs) != len(wantK) {
 				t.Fatalf("round %d: KNearest returned %d, oracle %d", round, len(nbs), len(wantK))
 			}
 			for j, nbj := range nbs {
-				if nbj.Dist2 != wantK[j] {
-					t.Fatalf("round %d: KNearest[%d] dist² %v, oracle %v", round, j, nbj.Dist2, wantK[j])
-				}
-				p, ok := s.Point(nbj.ID)
-				if !ok || (vec.Euclidean{}).Dist2(q, p) != nbj.Dist2 {
-					t.Fatalf("round %d: KNearest[%d] id %d is not a live point at its distance", round, j, nbj.ID)
+				if nbj != wantK[j] {
+					t.Fatalf("round %d query %v: KNearest[%d] %+v, oracle %+v", round, q, j, nbj, wantK[j])
 				}
 			}
 			found := false

@@ -489,7 +489,15 @@ func (s *Sharded) SetMutationHook(h func(cells []int, added []vec.Point)) {
 // the minimum — exact by the union argument in the package comment. The loop
 // stops as soon as the next shard's MinDist2 strictly exceeds the best
 // squared distance found (ring pruning; with hash routing every bound is 0,
-// so all shards are visited, the seed behaviour). The fan-out is a
+// so all shards are visited, the seed behaviour).
+//
+// The best distance so far also travels into each later shard as an
+// inclusive bound (nncell.Index.NearestWithin): that shard answers by a
+// bounded best-first descent instead of a full search, and reports only a
+// point at most as far as the current best. Inclusive keeps distance ties in
+// play, and every shard breaks them toward its lowest local id, which is its
+// lowest global id; so the merged answer is the lowest-gid point at the
+// minimum distance, whichever engine each shard ran. The fan-out is a
 // sequential loop: each per-shard query is allocation-free on its pooled
 // QueryCtx and the plan lives on a pooled scratch, so the warm sharded query
 // stays at 0 allocs/op, and concurrency comes from running many queries at
@@ -508,12 +516,9 @@ func (s *Sharded) NearestNeighbor(q vec.Point) (nncell.Neighbor, error) {
 			break
 		}
 		visited++
-		nb, err := s.shards[sd.Shard].NearestNeighbor(q)
-		if err != nil {
-			if errors.Is(err, nncell.ErrEmpty) {
-				continue
-			}
-			return nncell.Neighbor{}, err
+		nb, ok := s.shards[sd.Shard].NearestWithin(q, best.Dist2)
+		if !ok {
+			continue
 		}
 		gid := s.globalID(sd.Shard, nb.ID)
 		if nb.Dist2 < best.Dist2 || (nb.Dist2 == best.Dist2 && gid < best.ID) {
@@ -600,7 +605,10 @@ func (s *Sharded) KNearest(q vec.Point, k int) ([]nncell.Neighbor, error) {
 // lists and linear-scanned them per output element). Ring pruning stops the
 // fan-out once the heap holds k results whose worst entry beats the next
 // shard's MinDist2; the bound is exact for the same reason as in
-// NearestNeighbor, applied to the k-th distance.
+// NearestNeighbor, applied to the k-th distance. Once the heap is full, that
+// k-th distance is also passed into later shards as an inclusive bound
+// (nncell.Index.KNearestWithinAppend), so they search only the ball that can
+// still improve the answer.
 func (s *Sharded) KNearestAppend(dst []nncell.Neighbor, q vec.Point, k int) ([]nncell.Neighbor, error) {
 	if k <= 0 {
 		return dst, fmt.Errorf("%w (got k=%d)", nncell.ErrBadK, k)
@@ -617,7 +625,11 @@ func (s *Sharded) KNearestAppend(dst []nncell.Neighbor, q vec.Point, k int) ([]n
 			break
 		}
 		visited++
-		nbs, err := s.shards[sd.Shard].KNearestAppend(qs.nbrs[:0], q, k)
+		bound := math.Inf(1)
+		if len(heap) == k {
+			bound = heap[0].Dist2
+		}
+		nbs, err := s.shards[sd.Shard].KNearestWithinAppend(qs.nbrs[:0], q, k, bound)
 		qs.nbrs = nbs[:0]
 		if err != nil {
 			if errors.Is(err, nncell.ErrEmpty) {
@@ -635,11 +647,10 @@ func (s *Sharded) KNearestAppend(dst []nncell.Neighbor, q vec.Point, k int) ([]n
 			} else if neighborLess(nb, heap[0]) {
 				heap[0] = nb
 				siftDownNbr(heap, 0, len(heap))
-			} else if nb.Dist2 > heap[0].Dist2 {
-				// The list is non-decreasing in Dist2 (best-first search), so
-				// every later entry also exceeds the heap's worst. Equal
-				// distances keep scanning: ties within a shard arrive in
-				// traversal order, and a later tie can still win on id.
+			} else {
+				// The list ascends by (Dist2, local id), and local order is
+				// gid order within a shard, so no later entry beats the
+				// heap's worst either.
 				break
 			}
 		}
@@ -755,6 +766,9 @@ func (s *Sharded) Stats() nncell.Stats {
 		out.Queries += st.Queries
 		out.Candidates += st.Candidates
 		out.Fallbacks += st.Fallbacks
+		for e := range out.Engines {
+			out.Engines[e] += st.Engines[e]
+		}
 		out.Updates += st.Updates
 		out.PruneVisited += st.PruneVisited
 		out.StaleCells += st.StaleCells
@@ -771,6 +785,7 @@ type ShardStat struct {
 	Points        int
 	Fragments     uint64
 	Queries       uint64
+	Engines       [nncell.NumEngines]uint64 // NN queries per answering engine
 	Updates       uint64
 	PagerAccesses uint64
 	PagerHits     uint64
@@ -786,6 +801,7 @@ func (s *Sharded) ShardStats() []ShardStat {
 			Points:        ix.Len(),
 			Fragments:     st.Fragments,
 			Queries:       st.Queries,
+			Engines:       st.Engines,
 			Updates:       st.Updates,
 			PagerAccesses: pst.Accesses,
 			PagerHits:     pst.Hits,

@@ -40,19 +40,16 @@ func (Euclidean) Dist2(p, q Point) float64 {
 	return s
 }
 
-// MinDist2 returns the squared Euclidean distance from p to rectangle r.
+// MinDist2 returns the squared Euclidean distance from p to rectangle r. The
+// per-dimension term is max(lo-v, v-hi, 0)²: branch-free, and the same term
+// MinDist2All adds, so the two kernels agree bitwise.
 func (Euclidean) MinDist2(p Point, r Rect) float64 {
 	mustSameDim(len(p), r.Dim())
+	lo, hi := r.Lo[:len(p)], r.Hi[:len(p)]
 	s := 0.0
-	for i := range p {
-		switch {
-		case p[i] < r.Lo[i]:
-			d := r.Lo[i] - p[i]
-			s += d * d
-		case p[i] > r.Hi[i]:
-			d := p[i] - r.Hi[i]
-			s += d * d
-		}
+	for j, v := range p {
+		d := max(lo[j]-v, v-hi[j], 0)
+		s += d * d
 	}
 	return s
 }

@@ -304,25 +304,29 @@ func Dist2Flat(p Point, q []float64) float64 {
 	return s
 }
 
-// MinDist2Stride returns the squared Euclidean distance from p to rectangle i
-// of a dimension-major SoA mirror holding stride rectangles: dimension j of
-// rectangle i lives at lo[j*stride+i] / hi[j*stride+i]. It performs the same
-// operations in the same order as Euclidean.MinDist2, so results are bitwise
-// identical.
-func MinDist2Stride(p Point, lo, hi []float64, i, stride int) float64 {
-	s := 0.0
-	for j, v := range p {
-		at := j*stride + i
-		switch {
-		case v < lo[at]:
-			d := lo[at] - v
-			s += d * d
-		case v > hi[at]:
-			d := v - hi[at]
-			s += d * d
+// MinDist2All writes to out[i] the squared Euclidean distance from p to
+// rectangle i of a dimension-major SoA mirror holding len(out) rectangles:
+// dimension j of rectangle i lives at lo[j*len(out)+i] / hi[j*len(out)+i].
+// It walks the mirror one dimension at a time, so the loads are sequential,
+// and adds the same branch-free term max(lo-v, v-hi, 0)² in the same
+// dimension order as Euclidean.MinDist2, so results are bitwise identical.
+func MinDist2All(p Point, lo, hi []float64, out []float64) {
+	m := len(out)
+	v := p[0]
+	lo0, hi0 := lo[:m], hi[:m]
+	for i := range out {
+		d := max(lo0[i]-v, v-hi0[i], 0)
+		out[i] = d * d
+	}
+	for j := 1; j < len(p); j++ {
+		v := p[j]
+		blo := lo[j*m : (j+1)*m]
+		bhi := hi[j*m : (j+1)*m]
+		for i := range out {
+			d := max(blo[i]-v, v-bhi[i], 0)
+			out[i] += d * d
 		}
 	}
-	return s
 }
 
 // SplitAt cuts r at coordinate c in dimension dim and returns the lower and

@@ -370,3 +370,78 @@ func BenchmarkMinDist2(b *testing.B) {
 		_ = m.MinDist2(q, r)
 	}
 }
+
+// branchyMinDist2 is the textbook MINDIST: add the gap only in dimensions
+// where p lies outside r.
+func branchyMinDist2(p Point, r Rect) float64 {
+	s := 0.0
+	for i := range p {
+		switch {
+		case p[i] < r.Lo[i]:
+			d := r.Lo[i] - p[i]
+			s += d * d
+		case p[i] > r.Hi[i]:
+			d := p[i] - r.Hi[i]
+			s += d * d
+		}
+	}
+	return s
+}
+
+// The branch-free kernels must agree bit for bit with the textbook MINDIST
+// and with each other (the k-NN engines compare their distances with the
+// scan oracle's by ==): degenerate point rectangles, boxes, and query
+// coordinates inside, outside and exactly on the faces, including ±0.
+func TestMinDist2KernelsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, d := range []int{1, 3, 8} {
+		const m = 37
+		rects := make([]Rect, m)
+		lo := make([]float64, d*m)
+		hi := make([]float64, d*m)
+		for i := range rects {
+			r := Rect{Lo: make(Point, d), Hi: make(Point, d)}
+			for j := 0; j < d; j++ {
+				a, b := rng.Float64(), rng.Float64()
+				switch {
+				case i%3 == 0: // a point
+					b = a
+				case a > b:
+					a, b = b, a
+				}
+				if i == 1 {
+					a, b = math.Copysign(0, -1), 0
+				}
+				r.Lo[j], r.Hi[j] = a, b
+				lo[j*m+i], hi[j*m+i] = a, b
+			}
+			rects[i] = r
+		}
+		out := make([]float64, m)
+		for qi := 0; qi < 200; qi++ {
+			q := make(Point, d)
+			for j := range q {
+				switch qi % 4 {
+				case 0:
+					q[j] = rng.Float64()*3 - 1
+				case 1: // on a face of some rectangle
+					q[j] = rects[rng.Intn(m)].Lo[j]
+				case 2:
+					q[j] = rects[rng.Intn(m)].Hi[j]
+				default:
+					q[j] = 0
+				}
+			}
+			MinDist2All(q, lo, hi, out)
+			for i, r := range rects {
+				want := branchyMinDist2(q, r)
+				if got := (Euclidean{}).MinDist2(q, r); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("d=%d rect %d: MinDist2 %v, branchy %v", d, i, got, want)
+				}
+				if math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("d=%d rect %d: MinDist2All %v, branchy %v", d, i, out[i], want)
+				}
+			}
+		}
+	}
+}

@@ -40,13 +40,20 @@ type QueryCtx struct {
 	li    int     // next position within surv
 	surv  []int32 // indices of the current leaf's matching entries
 
-	acc []float64 // per-entry sign accumulator of the leaf scans
+	acc []float64 // per-entry accumulator of the leaf scans (containment sign or squared distance)
 
-	heap  []nnHeapItem  // best-first node queue (min-heap by dist2)
-	best  []Neighbor    // k-NN candidates (max-heap by Dist2, root = worst)
-	res   []Neighbor    // NearestNeighborCtx result scratch (distinct from best)
+	heap  []nnHeapItem   // best-first node queue (min-heap by dist2)
+	best  []Neighbor     // k-NN candidates (max-heap under nbrLess, root = worst)
+	res   []Neighbor     // NearestNeighborCtx result scratch (distinct from best)
 	pages []pager.PageID // batched page-access scratch of the one-shot queries
+
+	leafEvals int // leaf distances computed by the last KNearestCtx
 }
+
+// LeafEvals returns how many leaf entries the last KNearestCtx on qc
+// measured the distance of: the refinement work of a best-first search, the
+// analogue of a point query's candidate count.
+func (qc *QueryCtx) LeafEvals() int { return qc.leafEvals }
 
 // BeginPoint starts an iterative point query for p: subsequent Next calls
 // yield every leaf entry whose rectangle contains p, in exactly the order the
@@ -226,7 +233,7 @@ func (qc *QueryCtx) matchLeafPoint(n *node, d int, p vec.Point) {
 		qc.surv = qc.surv[:0]
 		return
 	}
-	if cap(qc.surv) < m {
+	if cap(qc.surv) < m || cap(qc.acc) < m {
 		qc.surv = make([]int32, 0, 2*m)
 		qc.acc = make([]float64, 0, 2*m)
 	}
@@ -267,7 +274,7 @@ func (qc *QueryCtx) matchLeafRange(n *node, d int, r vec.Rect) {
 		qc.surv = qc.surv[:0]
 		return
 	}
-	if cap(qc.surv) < m {
+	if cap(qc.surv) < m || cap(qc.acc) < m {
 		qc.surv = make([]int32, 0, 2*m)
 		qc.acc = make([]float64, 0, 2*m)
 	}
@@ -342,15 +349,24 @@ func (t *Tree) NearestNeighborCtx(qc *QueryCtx, q vec.Point) (nb Neighbor, ok bo
 // NN-cell index seeds bound with a clamp-candidate distance, which turns the
 // search into a verification descent.
 //
+// Distance ties are broken toward the smaller payload, as in KNearest and
+// NearestCandidate: the result is the k smallest entries within bound by
+// (Dist2, Data). Ties are never pruned (node and bound tests are strict), so
+// this holds for every tree shape and bound.
+//
 // With an infinite bound the traversal performs the same heap operations in
-// the same order as the recursive KNearest, so results are identical. out
-// must not alias qc's internal scratch slices.
+// the same order as the recursive KNearest, so results are identical. Page
+// accesses are replayed in visit order by one batched pager call at the end.
+// out must not alias qc's internal scratch slices.
 func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, bound float64, out []Neighbor) []Neighbor {
+	qc.leafEvals = 0
 	if k <= 0 || t.size == 0 {
 		return out
 	}
 	qc.heap = append(qc.heap[:0], nnHeapItem{dist2: 0, child: t.root})
 	qc.best = qc.best[:0]
+	pages := qc.pages[:0]
+	evals := 0
 	for len(qc.heap) > 0 {
 		it := qc.heap[0]
 		limit := bound
@@ -362,17 +378,26 @@ func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, bound float64, out 
 		}
 		qc.heap = nodeHeapPop(qc.heap)
 		n := it.child
-		t.accessNode(n)
+		pages = append(pages, n.pages...)
+		if n.level == 0 {
+			m := len(n.entries)
+			evals += m
+			if cap(qc.acc) < m {
+				qc.acc = make([]float64, 0, 2*m)
+			}
+			qc.acc = qc.acc[:m]
+			vec.MinDist2All(q, n.flatLo, n.flatHi, qc.acc)
+		}
 		for i := range n.entries {
 			if n.level == 0 {
-				d2 := vec.MinDist2Stride(q, n.flatLo, n.flatHi, i, len(n.entries))
+				d2 := qc.acc[i]
 				if d2 > bound {
 					continue
 				}
 				if len(qc.best) < k {
 					qc.best = resultHeapPush(qc.best, Neighbor{
 						Entry: Entry{Rect: n.entries[i].rect, Data: n.entries[i].data}, Dist2: d2})
-				} else if d2 < qc.best[0].Dist2 {
+				} else if nbrLess(d2, n.entries[i].data, qc.best[0]) {
 					qc.best[0] = Neighbor{
 						Entry: Entry{Rect: n.entries[i].rect, Data: n.entries[i].data}, Dist2: d2}
 					resultHeapFix0(qc.best)
@@ -388,6 +413,9 @@ func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, bound float64, out 
 			}
 		}
 	}
+	qc.pages = pages
+	qc.leafEvals = evals
+	t.pg.AccessRun(pages)
 	// Drain the max-heap back to front so out is in increasing distance order.
 	base := len(out)
 	out = append(out, qc.best...)
@@ -446,13 +474,14 @@ func siftDownNode(h []nnHeapItem, i int) {
 	}
 }
 
-// resultHeapPush appends nb and sifts up (max-heap by Dist2, root = worst).
+// resultHeapPush appends nb and sifts up (max-heap under nbrLess, root =
+// worst).
 func resultHeapPush(h []Neighbor, nb Neighbor) []Neighbor {
 	h = append(h, nb)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(h[i].Dist2 > h[parent].Dist2) {
+		if !nbrAfter(h[i], h[parent]) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -481,10 +510,10 @@ func siftDownResult(h []Neighbor, i int) {
 			break
 		}
 		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].Dist2 > h[j1].Dist2 {
+		if j2 := j1 + 1; j2 < n && nbrAfter(h[j2], h[j1]) {
 			j = j2
 		}
-		if !(h[j].Dist2 > h[i].Dist2) {
+		if !nbrAfter(h[j], h[i]) {
 			break
 		}
 		h[i], h[j] = h[j], h[i]

@@ -3,6 +3,7 @@ package xtree
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/vec"
@@ -198,6 +199,50 @@ func TestKNearestCtxMatchesRecursive(t *testing.T) {
 					if want[i].Entry.Data != out[i].Entry.Data || want[i].Dist2 != out[i].Dist2 {
 						t.Fatalf("d=%d k=%d q=%d: result %d: ctx %d@%g, recursive %d@%g",
 							d, k, qi, i, out[i].Entry.Data, out[i].Dist2, want[i].Entry.Data, want[i].Dist2)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Distance ties resolve toward the smaller payload in both k-NN paths,
+// whatever order the entries were inserted in: a lattice with payloads
+// assigned in reverse scan order, queried at lattice points, edge midpoints
+// and cell centres (2- and 4-way ties), with and without a bound at the
+// k-th distance.
+func TestKNearestTiesLowestPayload(t *testing.T) {
+	const side = 12
+	tr := New(2, newTestPager(), Options{})
+	var pts []vec.Point
+	for i := 0; i < side; i++ {
+		for j := 0; j < side; j++ {
+			pts = append(pts, vec.Point{float64(i) / 8, float64(j) / 8})
+		}
+	}
+	for k := len(pts) - 1; k >= 0; k-- {
+		tr.Insert(vec.PointRect(pts[k]), int64(len(pts)-1-k))
+	}
+	var qc QueryCtx
+	for qi := 0; qi < 2*side; qi++ {
+		for qj := 0; qj < 2*side; qj++ {
+			q := vec.Point{float64(qi) / 16, float64(qj) / 16}
+			want := make([]Neighbor, len(pts))
+			for k, p := range pts {
+				want[k] = Neighbor{Entry: Entry{Data: int64(len(pts) - 1 - k)}, Dist2: vec.Euclidean{}.Dist2(q, p)}
+			}
+			sort.Slice(want, func(a, b int) bool { return nbrLess(want[a].Dist2, want[a].Entry.Data, want[b]) })
+			for _, k := range []int{1, 3, 6} {
+				for name, got := range map[string][]Neighbor{
+					"KNearest":          tr.KNearest(q, k),
+					"KNearestCtx":       tr.KNearestCtx(&qc, q, k, math.Inf(1), nil),
+					"KNearestCtx bound": tr.KNearestCtx(&qc, q, k, want[k-1].Dist2, nil),
+				} {
+					for r := 0; r < k; r++ {
+						if got[r].Entry.Data != want[r].Entry.Data || got[r].Dist2 != want[r].Dist2 {
+							t.Fatalf("q=%v k=%d %s: result %d = %d@%g, want %d@%g", q, k, name, r,
+								got[r].Entry.Data, got[r].Dist2, want[r].Entry.Data, want[r].Dist2)
+						}
 					}
 				}
 			}

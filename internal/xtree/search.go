@@ -120,7 +120,9 @@ func (t *Tree) NearestNeighbor(q vec.Point) (e Entry, dist2 float64, ok bool) {
 // order, using the best-first traversal of [HS 95] with a bounded result
 // heap: only nodes enter the priority queue; leaf entries compete in a
 // size-k max-heap, and traversal stops when the nearest unexplored node is
-// farther than the current k-th best candidate.
+// farther than the current k-th best candidate. Distance ties are broken
+// toward the smaller payload (see nbrLess), so the result is the k smallest
+// entries by (Dist2, Data) whatever the tree shape.
 func (t *Tree) KNearest(q vec.Point, k int) []Neighbor {
 	if k <= 0 || t.size == 0 {
 		return nil
@@ -142,7 +144,7 @@ func (t *Tree) KNearest(q vec.Point, k int) []Neighbor {
 			if n.level == 0 {
 				if best.Len() < k {
 					heap.Push(best, Neighbor{Entry: Entry{Rect: e.rect, Data: e.data}, Dist2: d2})
-				} else if d2 < (*best)[0].Dist2 {
+				} else if nbrLess(d2, e.data, (*best)[0]) {
 					(*best)[0] = Neighbor{Entry: Entry{Rect: e.rect, Data: e.data}, Dist2: d2}
 					heap.Fix(best, 0)
 				}
@@ -158,11 +160,23 @@ func (t *Tree) KNearest(q vec.Point, k int) []Neighbor {
 	return out
 }
 
-// resultHeap is a max-heap of the current k best candidates (root = worst).
+// nbrLess reports whether a leaf entry at squared distance d2 with payload
+// data ranks before nb: closer, or equally close with a smaller payload. The
+// tie-break makes every k-NN answer independent of the traversal order, so
+// engines that reach the same points by different paths agree exactly.
+func nbrLess(d2 float64, data int64, nb Neighbor) bool {
+	return d2 < nb.Dist2 || (d2 == nb.Dist2 && data < nb.Entry.Data)
+}
+
+// nbrAfter reports whether a ranks after b under nbrLess.
+func nbrAfter(a, b Neighbor) bool { return nbrLess(b.Dist2, b.Entry.Data, a) }
+
+// resultHeap is a max-heap of the current k best candidates under nbrLess
+// (root = worst).
 type resultHeap []Neighbor
 
 func (h resultHeap) Len() int            { return len(h) }
-func (h resultHeap) Less(i, j int) bool  { return h[i].Dist2 > h[j].Dist2 }
+func (h resultHeap) Less(i, j int) bool  { return nbrAfter(h[i], h[j]) }
 func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
 func (h *resultHeap) Pop() interface{} {
