@@ -3,9 +3,9 @@
 # §"Construction hot path" and §"Query engine").
 GO ?= go
 
-.PHONY: check vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-build bench-query bench-dynamic bench-bulk bench-serve bench-route bench
+.PHONY: check vet build test race lp-fuzz serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-build bench-query bench-dynamic bench-bulk bench-serve bench-route bench
 
-check: vet build test race serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke
+check: vet build test race lp-fuzz serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -23,6 +23,13 @@ test:
 # limiter / graceful-drain machinery).
 race:
 	$(GO) test -race ./internal/nncell/ ./internal/lp/ ./internal/shard/ ./internal/server/ ./internal/wal/ ./internal/iofault/ ./internal/rescache/ ./internal/loadgen/ ./internal/replica/
+
+# Ten seconds of coverage-guided inputs through both LP solvers: the dual
+# simplex's pivot update arithmetic must keep agreeing with Seidel's
+# independent algorithm on feasibility and optimal value. Inputs the fuzzer
+# keeps land under internal/lp/testdata/fuzz/ (ignored by git).
+lp-fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSolversAgree$$' -fuzztime 10s ./internal/lp/
 
 # End-to-end serving lifecycle against the real binary: build an index, start
 # `nncell serve`, answer a query, scrape /metrics, SIGTERM, drained exit.

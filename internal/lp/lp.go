@@ -13,13 +13,20 @@
 //
 //   - Solver: a reusable dual revised simplex. The dual of an LP with d
 //     variables and m constraints has a d×d basis regardless of m; each
-//     iteration scans the m columns once (O(m·d)) and refactorizes the tiny
-//     basis (O(d³)). Because the data-space box rows are always present, a
-//     dual-feasible starting basis exists in closed form and no phase-1 is
-//     ever needed. A Solver validates and row-normalizes the constraint set
-//     once (Load), then solves any number of objectives over it (Solve)
-//     without heap allocation — exactly the access pattern of the 2·d extent
-//     LPs of one cell, which share one constraint set.
+//     iteration scans the m columns once (O(m·d)) and updates the basis
+//     inverse B⁻¹ and the multipliers λ = B⁻¹c, π = w_B·B⁻¹ in product form
+//     from the entering column (O(d²)). Every 2·d pivots, and again before
+//     a solve may end (no entering column, or no leaving row), all three
+//     are recomputed from the basis by a full O(d³) refactorization, and
+//     the verdict is taken again on that fresh factorization. The returned
+//     vertex is π of a fresh factorization, a function of the final basis
+//     alone, so the updates change how fast a solve runs but not what it
+//     returns for a given final basis. Because the data-space box rows are
+//     always present, a dual-feasible starting basis exists in closed form
+//     and no phase-1 is ever needed. A Solver validates and row-normalizes
+//     the constraint set once (Load), then solves any number of objectives
+//     over it (Solve) without heap allocation — exactly the access pattern
+//     of the 2·d extent LPs of one cell, which share one constraint set.
 //
 //   - Maximize: the one-shot convenience wrapper over a throwaway Solver.
 //
@@ -331,6 +338,14 @@ func (s *Solver) column(k int, dst []float64) {
 // B = diag(±1) with B⁻¹c = |c| ≥ 0 — a dual-feasible starting point with no
 // phase-1. Pricing uses Dantzig's rule and falls back to Bland's rule after a
 // run of degenerate pivots, which guarantees termination.
+//
+// Each pivot updates B⁻¹, λ and π in place (see pivot) instead of
+// refactoring; refresh recomputes all three from the basis every 2·d pivots
+// and before either verdict that ends a solve. When pricing finds no
+// entering column, or the ratio test no leaving row, under an updated
+// inverse, the solve refreshes and decides again, so optimality and
+// infeasibility — and the vertex returned — always come from a fresh
+// factorization.
 func (s *Solver) Solve(c []float64) (*Result, error) {
 	if s.d == 0 {
 		return nil, ErrNotLoaded
@@ -340,87 +355,47 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 	}
 	s.c = c
 	d := s.d
-	// Starting basis: signed identity from box rows.
+	// Starting basis: signed identity from box rows, its own inverse.
+	clear(s.inBasis)
 	for j := 0; j < d; j++ {
+		row := s.binv[j]
+		clear(row)
 		if c[j] >= 0 {
 			s.basis[j] = s.m + j // +e_j column
+			row[j] = 1
 		} else {
 			s.basis[j] = s.m + s.d + j // -e_j column
+			row[j] = -1
 		}
+		s.inBasis[s.basis[j]] = true
 	}
-	if err := s.refactor(); err != nil {
-		return nil, err
-	}
+	s.multipliers()
 
-	lambda, pi, u, colbuf, inBasis := s.lambda, s.pi, s.u, s.colbuf, s.inBasis
-
+	lambda, u := s.lambda, s.u
 	degenerate := 0
 	bland := false
-	iters := 0
-	for ; iters < maxPivots; iters++ {
-		// lambda = B⁻¹ c
-		for i := 0; i < d; i++ {
-			v := 0.0
-			for j := 0; j < d; j++ {
-				v += s.binv[i][j] * c[j]
+	sinceRefresh := 0
+	for iters := 0; iters < maxPivots; {
+		enter, red := s.price(bland)
+		if enter < 0 && sinceRefresh > 0 {
+			// Optimal under the updated inverse: confirm on a fresh one.
+			if err := s.refresh(); err != nil {
+				return nil, err
 			}
-			lambda[i] = v
-		}
-		// pi = w_B B⁻¹
-		for j := 0; j < d; j++ {
-			v := 0.0
-			for i := 0; i < d; i++ {
-				v += s.w[s.basis[i]] * s.binv[i][j]
-			}
-			pi[j] = v
-		}
-		for i := range inBasis {
-			inBasis[i] = false
-		}
-		for _, k := range s.basis {
-			inBasis[k] = true
-		}
-
-		// Pricing: find entering column with negative reduced cost.
-		enter := -1
-		bestRed := -tolRed
-		total := s.m + 2*d
-		for k := 0; k < total; k++ {
-			if inBasis[k] {
-				continue
-			}
-			var red float64
-			switch {
-			case k < s.m:
-				red = s.w[k]
-				col := s.cons[k*d : (k+1)*d]
-				for i := 0; i < d; i++ {
-					red -= pi[i] * col[i]
-				}
-			case k < s.m+d:
-				red = s.w[k] - pi[k-s.m]
-			default:
-				red = s.w[k] + pi[k-s.m-d]
-			}
-			if red < bestRed {
-				if bland {
-					enter = k
-					break // Bland: first (lowest-index) improving column
-				}
-				bestRed = red
-				enter = k
-			}
+			sinceRefresh = 0
+			enter, red = s.price(bland)
 		}
 		if enter < 0 {
-			return s.finish(pi, lambda, iters)
+			return s.finish(iters)
 		}
 
 		// Direction u = B⁻¹ M_enter.
-		s.column(enter, colbuf)
+		s.column(enter, s.colbuf)
 		for i := 0; i < d; i++ {
+			row := s.binv[i]
 			v := 0.0
-			for j := 0; j < d; j++ {
-				v += s.binv[i][j] * colbuf[j]
+			for j, a := range s.colbuf {
+				v += row[j] * a
 			}
 			u[i] = v
 		}
@@ -439,6 +414,14 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 			}
 		}
 		if leave < 0 {
+			if sinceRefresh > 0 {
+				// Unbounded under the updated inverse: confirm on a fresh one.
+				if err := s.refresh(); err != nil {
+					return nil, err
+				}
+				sinceRefresh = 0
+				continue
+			}
 			// Dual unbounded ⇒ primal infeasible.
 			return nil, ErrInfeasible
 		}
@@ -451,12 +434,130 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 			degenerate = 0
 		}
 
-		s.basis[leave] = enter
-		if err := s.refactor(); err != nil {
-			return nil, err
+		s.pivot(leave, enter, red)
+		iters++
+		sinceRefresh++
+		if sinceRefresh >= 2*d {
+			if err := s.refresh(); err != nil {
+				return nil, err
+			}
+			sinceRefresh = 0
 		}
 	}
 	return nil, ErrNumeric
+}
+
+// price returns the entering column — the one with the most negative reduced
+// cost w_k − π·M_k, or under Bland's rule the lowest-index negative one — and
+// its reduced cost; enter is −1 when every reduced cost is ≥ −tolRed.
+func (s *Solver) price(bland bool) (enter int, red float64) {
+	// The reslices to known lengths let the compiler drop the bounds checks
+	// of the O(m·d) loop below.
+	d, m := s.d, s.m
+	pi, w, inBasis := s.pi[:d], s.w[:m+2*d], s.inBasis[:m+2*d]
+	enter = -1
+	bestRed := -tolRed
+	for k := 0; k < m; k++ {
+		if inBasis[k] {
+			continue
+		}
+		r := w[k]
+		col := s.cons[k*d : (k+1)*d]
+		col = col[:len(pi)]
+		for i, p := range pi {
+			r -= p * col[i]
+		}
+		if r < bestRed {
+			if bland {
+				return k, r // Bland: first (lowest-index) improving column
+			}
+			bestRed, enter = r, k
+		}
+	}
+	for k := m; k < m+2*d; k++ {
+		if inBasis[k] {
+			continue
+		}
+		var r float64
+		if k < m+d {
+			r = w[k] - pi[k-m]
+		} else {
+			r = w[k] + pi[k-m-d]
+		}
+		if r < bestRed {
+			if bland {
+				return k, r
+			}
+			bestRed, enter = r, k
+		}
+	}
+	return enter, bestRed
+}
+
+// pivot replaces the basic column in row leave by column enter, whose
+// direction u = B⁻¹ M_enter is in s.u and whose reduced cost is red. It
+// applies the product-form (eta) update in O(d²) instead of refactoring:
+// row leave of B⁻¹ is divided by u_leave and eliminated from every other
+// row. λ = B⁻¹c moves by the ratio-test step θ = λ_leave/u_leave, and
+// π = w_B·B⁻¹ by red times the new row leave of B⁻¹ — the one change that
+// makes the entering column's reduced cost zero while every other basic
+// column keeps its zero.
+func (s *Solver) pivot(leave, enter int, red float64) {
+	u, lambda, pi := s.u, s.lambda, s.pi
+	inv := 1 / u[leave]
+	theta := lambda[leave] / u[leave]
+	pr := s.binv[leave]
+	for j := range pr {
+		pr[j] *= inv
+	}
+	for i, row := range s.binv {
+		f := u[i]
+		if i == leave || f == 0 {
+			continue
+		}
+		for j, v := range pr {
+			row[j] -= f * v
+		}
+		lambda[i] -= theta * f
+	}
+	lambda[leave] = theta
+	for j, v := range pr {
+		pi[j] += red * v
+	}
+	s.inBasis[s.basis[leave]] = false
+	s.inBasis[enter] = true
+	s.basis[leave] = enter
+}
+
+// refresh refactors B⁻¹ from the current basis and recomputes λ and π from
+// it, discarding any drift the eta updates accumulated. Its result depends
+// only on the basis, so a solve that ends on the same basis returns the same
+// bits however many updates led there.
+func (s *Solver) refresh() error {
+	if err := s.refactor(); err != nil {
+		return err
+	}
+	s.multipliers()
+	return nil
+}
+
+// multipliers computes λ = B⁻¹c and π = w_B·B⁻¹ from the current B⁻¹.
+func (s *Solver) multipliers() {
+	d, c := s.d, s.c
+	for i := 0; i < d; i++ {
+		v := 0.0
+		for j := 0; j < d; j++ {
+			v += s.binv[i][j] * c[j]
+		}
+		s.lambda[i] = v
+	}
+	for j := 0; j < d; j++ {
+		v := 0.0
+		for i := 0; i < d; i++ {
+			v += s.w[s.basis[i]] * s.binv[i][j]
+		}
+		s.pi[j] = v
+	}
 }
 
 // finish recovers the primal vertex from the final basis. At dual optimality
@@ -464,16 +565,16 @@ func (s *Solver) Solve(c []float64) (*Result, error) {
 // constraints, with equality on the basic columns — so the simplex
 // multipliers π are exactly the complementary primal vertex, and
 // c·π = w_B·λ is the optimal value by strong duality.
-func (s *Solver) finish(pi, lambda []float64, iters int) (*Result, error) {
+func (s *Solver) finish(iters int) (*Result, error) {
 	d := s.d
-	copy(s.x, pi)
+	copy(s.x, s.pi)
 	val := 0.0
 	for j := 0; j < d; j++ {
 		val += s.c[j] * s.x[j]
 	}
 	tight := s.tight[:0]
 	for i, k := range s.basis {
-		if k < s.m && lambda[i] > tolRed {
+		if k < s.m && s.lambda[i] > tolRed {
 			tight = append(tight, k)
 		}
 	}
@@ -486,8 +587,8 @@ func (s *Solver) finish(pi, lambda []float64, iters int) (*Result, error) {
 }
 
 // refactor recomputes binv = B⁻¹ from scratch into the preallocated scratch
-// matrix. With d ≤ ~20 this costs microseconds and sidesteps product-form
-// update drift.
+// matrix by Gauss-Jordan elimination: O(d³), against the O(d²) of a pivot's
+// eta update, which is why Solve calls it only through refresh.
 func (s *Solver) refactor() error {
 	d := s.d
 	mat := s.mat

@@ -3,6 +3,7 @@ package nncell
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/lp"
@@ -12,20 +13,52 @@ import (
 
 // cellCtx bundles the reusable scratch state of cell construction: the LP
 // solver (normalized once per constraint set, then run for all 2·d extent
-// objectives), the bisector constraint matrix in one flat backing array, and
-// the objective / id buffers. One cellCtx serves one goroutine at a time; the
-// bulk builder keeps one per worker, the dynamic path one per operation.
+// objectives), the bisector constraint matrix in one flat backing array, the
+// constraint-selection buffers (data-index query scratch, neighbor pool,
+// per-direction picks, ids) and the objective / MBR buffers. One cellCtx
+// serves one goroutine at a time; the bulk builder keeps one per worker, the
+// dynamic path one per operation.
+//
+// The LP and constraint-point counters accumulate here and reach the shared
+// index stats once per cell (flushStats), not once per LP: a d=8 bulk build
+// runs ~16 solves per cell on every worker at once.
 type cellCtx struct {
 	solver   lp.Solver
 	prob     lp.Problem
 	cons     []lp.Constraint
 	consFlat []float64 // len(cons)·d coefficient backing, row k at [k*d:(k+1)*d]
 	c        []float64 // objective buffer (len d)
+	mbr      vec.Rect  // solveMBR result buffer
 	ids      []int     // constraint-point id buffer
+
+	qc    xtree.QueryCtx   // data-index nearest-neighbor scratch
+	pool  []xtree.Neighbor // NN-Direction candidate pool / initialRadius result
+	picks []directionPick  // NN-Direction per-direction choices (len 2·d)
+
+	lpSolves, lpPivots, constraintPoints uint64 // unflushed counters
 }
 
 func newCellCtx(d int) *cellCtx {
-	return &cellCtx{c: make([]float64, d)}
+	return &cellCtx{
+		c:     make([]float64, d),
+		mbr:   vec.Rect{Lo: make(vec.Point, d), Hi: make(vec.Point, d)},
+		picks: make([]directionPick, 2*d),
+	}
+}
+
+// noteLP counts one finished LP solve.
+func (cc *cellCtx) noteLP(res *lp.Result) {
+	cc.lpSolves++
+	cc.lpPivots += uint64(res.Iterations)
+}
+
+// flushStats adds cc's accumulated counters to the index stats and resets
+// them.
+func (ix *Index) flushStats(cc *cellCtx) {
+	ix.stats.lpSolves.Add(cc.lpSolves)
+	ix.stats.lpPivots.Add(cc.lpPivots)
+	ix.stats.constraintPoints.Add(cc.constraintPoints)
+	cc.lpSolves, cc.lpPivots, cc.constraintPoints = 0, 0, 0
 }
 
 // approximateCell computes the fragment MBRs of point i's NN-cell using the
@@ -42,6 +75,7 @@ func (ix *Index) approximateCell(cc *cellCtx, i int) ([]vec.Rect, error) {
 	if p == nil {
 		return nil, fmt.Errorf("nncell: approximating tombstoned point %d", i)
 	}
+	defer ix.flushStats(cc)
 	var (
 		mbr  vec.Rect
 		cons []lp.Constraint
@@ -50,7 +84,7 @@ func (ix *Index) approximateCell(cc *cellCtx, i int) ([]vec.Rect, error) {
 	if alg := ix.effectiveAlgorithm(); alg == Correct {
 		mbr, cons, err = ix.correctMBR(cc, i)
 	} else {
-		ids := ix.selectConstraintPoints(i, alg)
+		ids := ix.selectConstraintPoints(cc, i, alg)
 		cons = ix.bisectors(cc, p, ids)
 		mbr, err = ix.solveMBR(cc, p, cons)
 	}
@@ -65,14 +99,23 @@ func (ix *Index) approximateCell(cc *cellCtx, i int) ([]vec.Rect, error) {
 
 // finishRect pads a solved MBR by Epsilon (absorbing LP tolerance; padding
 // keeps the approximation a superset, so correctness is unaffected) and clips
-// it to the data space.
+// it to the data space, into a new rectangle whose Lo and Hi share one
+// allocation.
 func (ix *Index) finishRect(r vec.Rect) vec.Rect {
-	out := r.Clone()
-	for j := 0; j < ix.dim; j++ {
-		out.Lo[j] -= ix.opts.Epsilon
-		out.Hi[j] += ix.opts.Epsilon
+	d := ix.dim
+	buf := make([]float64, 2*d)
+	out := vec.Rect{Lo: buf[:d:d], Hi: buf[d:]}
+	for j := 0; j < d; j++ {
+		out.Lo[j] = r.Lo[j] - ix.opts.Epsilon
+		out.Hi[j] = r.Hi[j] + ix.opts.Epsilon
+		if b := ix.bounds.Lo[j]; b > out.Lo[j] {
+			out.Lo[j] = b
+		}
+		if b := ix.bounds.Hi[j]; b < out.Hi[j] {
+			out.Hi[j] = b
+		}
 	}
-	return out.Clip(ix.bounds)
+	return out
 }
 
 // bisectors converts constraint point ids into the half-spaces
@@ -106,36 +149,38 @@ func (ix *Index) bisectors(cc *cellCtx, p vec.Point, ids []int) []lp.Constraint 
 		cc.cons[n] = lp.Constraint{A: a, B: q.Norm2() - pn}
 		n++
 	}
-	cons := cc.cons[:n]
-	ix.stats.constraintPoints.Add(uint64(n))
-	return cons
+	cc.constraintPoints += uint64(n)
+	return cc.cons[:n]
 }
 
 // solveMBR runs the 2·d extent LPs of Definition 3 over the given bisector
 // constraints and returns the (un-padded) MBR. The constraint set is
-// normalized and validated once; all 2·d objectives reuse it.
+// normalized and validated once; all 2·d objectives reuse it. The returned
+// rectangle is cc.mbr, valid until the next solveMBR on cc.
 func (ix *Index) solveMBR(cc *cellCtx, p vec.Point, cons []lp.Constraint) (vec.Rect, error) {
 	cc.prob = lp.Problem{NumVars: ix.dim, Cons: cons, Lo: ix.bounds.Lo, Hi: ix.bounds.Hi}
 	if err := cc.solver.Load(&cc.prob); err != nil {
 		return vec.Rect{}, err
 	}
 	d := ix.dim
-	mbr := vec.EmptyRect(d)
+	mbr := cc.mbr
 	c := cc.c
 	for j := 0; j < d; j++ {
 		c[j] = 1
 		res, err := cc.solver.Solve(c)
 		if err != nil {
+			c[j] = 0
 			return vec.Rect{}, err
 		}
-		ix.noteLP(res)
+		cc.noteLP(res)
 		mbr.Hi[j] = res.Value
 		c[j] = -1
 		res, err = cc.solver.Solve(c)
 		if err != nil {
+			c[j] = 0
 			return vec.Rect{}, err
 		}
-		ix.noteLP(res)
+		cc.noteLP(res)
 		mbr.Lo[j] = -res.Value
 		c[j] = 0
 		// The point itself is feasible, so the extent must straddle it;
@@ -150,11 +195,6 @@ func (ix *Index) solveMBR(cc *cellCtx, p vec.Point, cons []lp.Constraint) (vec.R
 	return mbr, nil
 }
 
-func (ix *Index) noteLP(res *lp.Result) {
-	ix.stats.lpSolves.Add(1)
-	ix.stats.lpPivots.Add(uint64(res.Iterations))
-}
-
 // correctMBR computes the exact MBR approximation with sound pruning: if the
 // cell of P is contained in the ball B(P,R), then every point farther than
 // 2R from P has a bisector that cannot cut the cell, so it can be dropped
@@ -163,7 +203,7 @@ func (ix *Index) noteLP(res *lp.Result) {
 // (max corner distance ≤ R) or every live point is included.
 func (ix *Index) correctMBR(cc *cellCtx, i int) (vec.Rect, []lp.Constraint, error) {
 	p := ix.points[i]
-	r := ix.initialRadius(i)
+	r := ix.initialRadius(cc, i)
 	maxR := cornerDist(p, ix.bounds)
 	for {
 		ids, all := ix.pointsWithin(cc, i, 2*r)
@@ -186,9 +226,9 @@ func (ix *Index) correctMBR(cc *cellCtx, i int) (vec.Rect, []lp.Constraint, erro
 // initialRadius estimates the cell radius as twice the distance to the
 // nearest live neighbor (cheap, from the data index); any underestimate only
 // costs an extra pruning round, never correctness.
-func (ix *Index) initialRadius(i int) float64 {
-	nbrs := ix.dataIdx.KNearest(ix.points[i], 2)
-	for _, nb := range nbrs {
+func (ix *Index) initialRadius(cc *cellCtx, i int) float64 {
+	cc.pool = ix.dataIdx.KNearestCtx(&cc.qc, ix.points[i], 2, math.Inf(1), cc.pool[:0])
+	for _, nb := range cc.pool {
 		if int(nb.Entry.Data) != i {
 			return 2 * math.Sqrt(nb.Dist2)
 		}
@@ -246,7 +286,7 @@ func (ix *Index) effectiveAlgorithm() Algorithm {
 // selectConstraintPoints implements the optimized constraint-selection
 // algorithms (Point, Sphere, NN-Direction). Any subset of the full point set
 // is sound (Lemma 1): fewer constraints can only enlarge the approximation.
-func (ix *Index) selectConstraintPoints(i int, alg Algorithm) []int {
+func (ix *Index) selectConstraintPoints(cc *cellCtx, i int, alg Algorithm) []int {
 	p := ix.points[i]
 	switch alg {
 	case PointAlg:
@@ -255,7 +295,7 @@ func (ix *Index) selectConstraintPoints(i int, alg Algorithm) []int {
 		radius := SphereRadius(ix.alive, ix.dim, ix.opts.SphereRadiusScale)
 		return ix.capClosest(p, ix.leafRegionPoints(i, func(r vec.Rect) bool { return r.IntersectsSphere(p, radius) }))
 	case NNDirection:
-		return ix.nnDirectionPoints(i)
+		return ix.nnDirectionPoints(cc, i)
 	default:
 		panic(fmt.Sprintf("nncell: selectConstraintPoints with algorithm %v", alg))
 	}
@@ -288,12 +328,22 @@ func (ix *Index) leafRegionPoints(i int, pred func(vec.Rect) bool) []int {
 	return ids
 }
 
+// directionPick is NN-Direction's choice for one of the 2·d axis
+// directions: the nearest pool point on that side and the one deviating
+// least from the axis.
+type directionPick struct {
+	nearest, axial int
+	nearD, axialD  float64
+}
+
 // nnDirectionPoints selects, for each of the 2·d axis directions, the
 // nearest point in that direction and the point with the smallest angular
 // deviation from the axis. Both are drawn from a constant-size nearest-
 // neighbor pool obtained with one index query, keeping the selection O(d)
-// points as the paper requires for its O(d!) LP bound.
-func (ix *Index) nnDirectionPoints(i int) []int {
+// points as the paper requires for its O(d!) LP bound. The pool, the picks
+// and the returned ids live in cc; the result is valid until the next
+// selection on cc.
+func (ix *Index) nnDirectionPoints(cc *cellCtx, i int) []int {
 	p := ix.points[i]
 	d := ix.dim
 	poolSize := 8 * d
@@ -303,17 +353,14 @@ func (ix *Index) nnDirectionPoints(i int) []int {
 	if poolSize > 128 {
 		poolSize = 128
 	}
-	pool := ix.dataIdx.KNearest(p, poolSize+1) // +1: the pool includes i itself
+	// +1: the pool includes i itself.
+	cc.pool = ix.dataIdx.KNearestCtx(&cc.qc, p, poolSize+1, math.Inf(1), cc.pool[:0])
 
-	type pick struct {
-		nearest, axial int
-		nearD, axialD  float64
-	}
-	picks := make([]pick, 2*d)
+	picks := cc.picks
 	for k := range picks {
-		picks[k] = pick{nearest: -1, axial: -1, nearD: math.Inf(1), axialD: math.Inf(1)}
+		picks[k] = directionPick{nearest: -1, axial: -1, nearD: math.Inf(1), axialD: math.Inf(1)}
 	}
-	for _, nb := range pool {
+	for _, nb := range cc.pool {
 		id := int(nb.Entry.Data)
 		if id == i {
 			continue
@@ -347,15 +394,15 @@ func (ix *Index) nnDirectionPoints(i int) []int {
 			}
 		}
 	}
-	seen := make(map[int]bool, 4*d)
-	var ids []int
+	// At most 4·d ids: a linear membership scan beats a map.
+	ids := cc.ids[:0]
 	for _, pk := range picks {
-		for _, id := range []int{pk.nearest, pk.axial} {
-			if id >= 0 && !seen[id] {
-				seen[id] = true
+		for _, id := range [2]int{pk.nearest, pk.axial} {
+			if id >= 0 && !slices.Contains(ids, id) {
 				ids = append(ids, id)
 			}
 		}
 	}
+	cc.ids = ids
 	return ids
 }

@@ -153,3 +153,33 @@ func TestCandidatesDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestApproximateCellAllocs pins the warm construction path of one cell
+// (NN-Direction selection, no decomposition) to the allocations of its
+// result: the returned fragment slice and the one coordinate array its
+// rectangle's Lo and Hi share. Selection, bisectors, LP solves and stats
+// all run on the cellCtx's reused scratch.
+func TestApproximateCellAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const n, d = 500, 8
+	pts := uniquePoints(t, dataset.NameUniform, 29, n, d)
+	ix := mustBuild(t, pts, Options{Algorithm: NNDirection, Decompose: 1})
+	cc := newCellCtx(d)
+	for i := 0; i < 64; i++ { // warm every buffer
+		if _, err := ix.approximateCell(cc, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := ix.approximateCell(cc, k%64); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if allocs != 2 {
+		t.Fatalf("warm approximateCell allocates %v/op, want 2 (fragment slice + coordinates)", allocs)
+	}
+}
