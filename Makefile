@@ -3,9 +3,9 @@
 # §"Construction hot path" and §"Query engine").
 GO ?= go
 
-.PHONY: check vet build test race lp-fuzz serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-build bench-query bench-dynamic bench-bulk bench-serve bench-route bench
+.PHONY: check vet build test race lp-fuzz shard-fuzz serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke bench-build bench-query bench-dynamic bench-bulk bench-serve bench-route bench
 
-check: vet build test race lp-fuzz serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke
+check: vet build test race lp-fuzz shard-fuzz serve-smoke crash-test stale-test cache-test route-test cluster-test bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,15 @@ race:
 lp-fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolversAgree$$' -fuzztime 10s ./internal/lp/
 
+# Ten seconds of coverage-guided inputs through shard.Load, the one snapshot
+# decoder serving uses (NNSHRDv2, v1, bare NNCELLv2): no panic, and every
+# accepted index passes CheckInvariants. Minimizing an interesting input
+# re-loads it thousands of times, so each minimization is capped at 1s to
+# leave the budget to fuzzing. Crashers land under
+# internal/shard/testdata/fuzz/ (ignored by git).
+shard-fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzShardLoad$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/shard/
+
 # End-to-end serving lifecycle against the real binary: build an index, start
 # `nncell serve`, answer a query, scrape /metrics, SIGTERM, drained exit.
 serve-smoke:
@@ -44,7 +53,7 @@ crash-test:
 	$(GO) vet ./internal/wal/ ./internal/iofault/
 	$(GO) test -count 1 ./internal/iofault/ ./internal/wal/
 	$(GO) test -count 1 -run 'WAL|Crash|Torn|Recover|Compaction|Readiness|Snapshot' ./internal/nncell/ ./internal/shard/ ./internal/server/
-	$(GO) test -count 1 -run 'TestServeWALRecovery|TestServeLoadConflictFlags' ./cmd/nncell/
+	$(GO) test -count 1 -run 'TestServeWALRecovery|TestServeWALOldLayoutRefused|TestServeLoadConflictFlags' ./cmd/nncell/
 
 # The lazy-repair gate: exact serving while repairs are pending (batch and
 # per-op inserts against the scan oracle), batch atomicity/rollback, the
@@ -62,14 +71,16 @@ cache-test:
 # sequential scan under batched churn (boundary points, ±0.0 keys, concurrent
 # readers, race detector on), grid routing must actually visit few shards,
 # and grid snapshots must round-trip (plus v1 compat and corrupt-header
-# rejection). Also covers the empty-bootstrap serve path.
+# rejection, bare single-index streams loading as one shard). Also covers the
+# empty-bootstrap serve path and the reload of an empty index's snapshot.
 route-test:
 	$(GO) test -race -count 1 -run 'TestGrid|TestDeriveGrid|TestShardedPersist|TestShardedLoad|TestShardedNewEmpty|TestShardedKNearest' ./internal/shard/
-	$(GO) test -count 1 -run 'TestServeGridEmptyBootstrap' ./cmd/nncell/
+	$(GO) test -count 1 -run 'TestServeGridEmptyBootstrap|TestServeEmptySnapshotReload' ./cmd/nncell/
 
 # The replication gate: the WAL shipping protocol under fault injection
 # (durable-prefix boundaries, truncation at every byte offset of a shipped
-# segment, torn mid-transfer streams, compaction races → re-bootstrap),
+# segment, torn mid-transfer streams, compaction races → re-bootstrap,
+# bootstrap from an empty primary),
 # the follower state machine and read router against fake backends, the
 # lag-aware readiness/metrics surface, and the 3-node kill -9 acceptance
 # harness (real processes + nnrouter: zero lost acked writes, continuous
@@ -97,8 +108,8 @@ bench:
 bench-build:
 	$(GO) run ./cmd/experiments -bench-build BENCH_build.json
 
-# Regenerate the machine-readable query-performance record (QPS, speedup of
-# the QueryCtx engine over the seed path, work counters) tracked across PRs,
+# Regenerate the machine-readable query-performance record (QPS of the cell
+# engine, allocations, work counters) tracked across PRs,
 # plus the large-n scale pass (n=10^5, cached vs uncached). The scale pass
 # builds two 10^5-point indexes and takes a few minutes.
 bench-query:

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
 // serveProc is a running `nncell serve` child with its banner parsed.
@@ -216,7 +219,73 @@ func TestServeLoadConflictFlags(t *testing.T) {
 	if err == nil {
 		t.Fatalf("serve with conflicting -shards started anyway:\n%s", out)
 	}
-	if !strings.Contains(out, "conflicts with a single-index snapshot") {
+	if !strings.Contains(out, "-shards 4 conflicts with the snapshot's 1 shards") {
 		t.Errorf("no shard-conflict error:\n%s", out)
+	}
+}
+
+// An empty index must survive a restart: `serve -n 0` with the default one
+// shard writes its shutdown snapshot, and `serve -load` of that snapshot
+// must come up ready and accept inserts.
+func TestServeEmptySnapshotReload(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "snap.bin")
+	p := startServe(t, "-addr", "127.0.0.1:0", "-n", "0", "-d", "3", "-snapshot", snap)
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for range p.lines {
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("empty serve exited uncleanly: %v", err)
+	}
+
+	p2 := startServe(t, "-addr", "127.0.0.1:0", "-load", snap)
+	var health healthzResponse
+	p2.get(t, "/healthz", &health)
+	if health.Status != "ok" || health.Points != 0 {
+		t.Fatalf("reloaded empty index: healthz %+v", health)
+	}
+	var ins struct {
+		ID int `json:"id"`
+	}
+	p2.post(t, "/v1/insert", map[string]interface{}{"point": []float64{0.3, 0.6, 0.9}}, &ins)
+	var nn struct {
+		ID    int     `json:"id"`
+		Dist2 float64 `json:"dist2"`
+	}
+	p2.post(t, "/v1/nn", map[string]interface{}{"point": []float64{0.3, 0.6, 0.9}}, &nn)
+	if nn.ID != ins.ID || nn.Dist2 != 0 {
+		t.Fatalf("nn after insert into reloaded empty index = %+v, want id %d dist2 0", nn, ins.ID)
+	}
+}
+
+// A WAL directory in the single-index layout (segments directly in -wal-dir
+// rather than in shard-0000/) must stop startup with an error naming the
+// segments, never replay an empty log over them and drop their writes.
+func TestServeWALOldLayoutRefused(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	l, err := wal.Open(walDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(wal.Record{Kind: wal.KindInsert, ID: 60, Point: []float64{0.1, 0.2, 0.3}}); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Base(l.ActiveSegmentPath())
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A server that accepted the directory would never exit on its own.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	raw, err := exec.CommandContext(ctx, binPath, "serve", "-addr", "127.0.0.1:0",
+		"-n", "60", "-d", "3", "-wal-dir", walDir).CombinedOutput()
+	out := string(raw)
+	if ctx.Err() != nil || err == nil {
+		t.Fatalf("serve started over an old-layout wal dir:\n%s", out)
+	}
+	if !strings.Contains(out, seg) || !strings.Contains(out, "shard-0000") {
+		t.Errorf("refusal does not name the segment %s and where to move it:\n%s", seg, out)
 	}
 }

@@ -16,8 +16,8 @@ import (
 
 // QueryBenchResult is one measured NN-query configuration of the query
 // benchmark (BENCH_query.json): latency and allocation profile of the
-// QueryCtx engine next to the seed recursive path, plus the work counters
-// that explain them (candidates inspected and index pages touched per query).
+// QueryCtx cell engine, plus the work counters that explain them
+// (candidates inspected and index pages touched per query).
 type QueryBenchResult struct {
 	Algorithm string `json:"algorithm"`
 	Dim       int    `json:"dim"`
@@ -29,15 +29,7 @@ type QueryBenchResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 
-	// Seed recursive path on the identical index and query stream.
-	LegacyNsPerOp float64 `json:"legacy_ns_per_op"`
-	LegacyQPS     float64 `json:"legacy_qps"`
-
-	// SpeedupVsLegacy = LegacyNsPerOp / NsPerOp.
-	SpeedupVsLegacy float64 `json:"speedup_vs_legacy"`
-
-	// Per-query work, averaged over one instrumented pass (identical for
-	// both engines by construction; the equivalence tests enforce it).
+	// Per-query work, averaged over one instrumented pass.
 	CandidatesPerQuery   float64 `json:"candidates_per_query"`
 	NodeAccessesPerQuery float64 `json:"node_accesses_per_query"`
 	Fallbacks            uint64  `json:"fallbacks"`
@@ -79,9 +71,8 @@ type QueryBenchReport struct {
 }
 
 // BenchQuery measures the cell engine (NearestNeighborCell) for every
-// constraint-selection algorithm at each dimension via testing.Benchmark, on
-// both the QueryCtx engine and the retained seed path, over a shared
-// in-space query stream.
+// constraint-selection algorithm at each dimension via testing.Benchmark,
+// over a shared in-space query stream.
 func BenchQuery(n int, dims []int) (*QueryBenchReport, error) {
 	if n <= 0 {
 		n = 250
@@ -122,25 +113,20 @@ func BenchQuery(n int, dims []int) (*QueryBenchReport, error) {
 			pagesAfter := pg.Stats().Accesses
 
 			var benchErr error
-			measure := func(query func(vec.Point) (nncell.Neighbor, error)) testing.BenchmarkResult {
-				return testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := query(qs[i%len(qs)]); err != nil {
-							benchErr = err
-							b.Fatal(err)
-						}
+			ctx := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := ix.NearestNeighborCell(qs[i%len(qs)]); err != nil {
+						benchErr = err
+						b.Fatal(err)
 					}
-				})
-			}
-			ctx := measure(ix.NearestNeighborCell)
-			legacy := measure(ix.NearestNeighborLegacy)
+				}
+			})
 			if benchErr != nil {
 				return nil, benchErr
 			}
 
 			ctxNs := float64(ctx.NsPerOp())
-			legNs := float64(legacy.NsPerOp())
 			rep.Results = append(rep.Results, QueryBenchResult{
 				Algorithm:            alg.String(),
 				Dim:                  d,
@@ -149,9 +135,6 @@ func BenchQuery(n int, dims []int) (*QueryBenchReport, error) {
 				QPS:                  1e9 / ctxNs,
 				AllocsPerOp:          ctx.AllocsPerOp(),
 				BytesPerOp:           ctx.AllocedBytesPerOp(),
-				LegacyNsPerOp:        legNs,
-				LegacyQPS:            1e9 / legNs,
-				SpeedupVsLegacy:      legNs / ctxNs,
 				CandidatesPerQuery:   float64(statsAfter.Candidates-statsBefore.Candidates) / numQueries,
 				NodeAccessesPerQuery: float64(pagesAfter-pagesBefore) / numQueries,
 				Fallbacks:            statsAfter.Fallbacks - statsBefore.Fallbacks,

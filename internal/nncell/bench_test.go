@@ -52,21 +52,6 @@ func BenchmarkQueryNearest(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryNearestLegacy is the seed recursive path on the identical
-// workload; the ratio to BenchmarkQueryNearest is the engine speedup.
-func BenchmarkQueryNearestLegacy(b *testing.B) {
-	forBenchConfigs(b, func(b *testing.B, alg Algorithm, d int) {
-		ix, qs := benchIndex(b, alg, d)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ix.NearestNeighborLegacy(qs[i%len(qs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkQueryCandidates(b *testing.B) {
 	forBenchConfigs(b, func(b *testing.B, alg Algorithm, d int) {
 		ix, qs := benchIndex(b, alg, d)

@@ -34,7 +34,10 @@ import (
 // a silently-corrupt solution space (a flipped MBR bit can shrink a cell and
 // re-introduce the false dismissals Lemma 2 rules out). The stream must end
 // at the checksum; trailing bytes are rejected as corruption.
-const persistMagic = "NNCELLv2"
+//
+// Magic opens every stream; shard.Load sniffs it to accept a bare
+// single-index stream as a one-shard index.
+const Magic = "NNCELLv2"
 
 // Hard upper bounds on header-declared sizes. They exist to reject absurd
 // inputs early; Load additionally never trusts them for allocation — all
@@ -58,7 +61,7 @@ func (ix *Index) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	le := binary.LittleEndian
 
-	if _, err := bw.WriteString(persistMagic); err != nil {
+	if _, err := bw.WriteString(Magic); err != nil {
 		return fmt.Errorf("nncell: save: %w", err)
 	}
 	sum := crc32.NewIEEE()
@@ -119,11 +122,11 @@ func Load(r io.Reader, pg *pager.Pager) (*Index, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
 
-	magic := make([]byte, len(persistMagic))
+	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("nncell: load: %w", err)
 	}
-	if string(magic) != persistMagic {
+	if string(magic) != Magic {
 		return nil, fmt.Errorf("nncell: load: bad magic %q", magic)
 	}
 	sum := crc32.NewIEEE()

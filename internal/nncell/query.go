@@ -221,46 +221,6 @@ func (ix *Index) fallbackNearest(qc *QueryCtx, q vec.Point) Neighbor {
 	return ix.treeNearest(qc, q, bound)
 }
 
-// NearestNeighborLegacy is the seed (pre-query-engine) recursive
-// closure-based query path, retained verbatim as the reference
-// implementation: equivalence tests assert the QueryCtx engine returns
-// identical results, and the bench-query record (BENCH_query.json) reports
-// the engine's speedup over this path. It shares the index's stats counters.
-func (ix *Index) NearestNeighborLegacy(q vec.Point) (Neighbor, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.alive == 0 {
-		return Neighbor{}, ErrEmpty
-	}
-	ix.stats.queries.Add(1)
-	if !ix.bounds.Contains(q) {
-		ix.stats.fallbacks.Add(1)
-		return ix.scanNearest(q), nil
-	}
-	best := Neighbor{ID: -1}
-	seen := 0
-	metric := vec.Euclidean{}
-	ix.tree.PointQuery(q, func(e xtree.Entry) bool {
-		id := int(e.Data)
-		p := ix.points[id]
-		if p == nil {
-			return true
-		}
-		seen++
-		d2 := metric.Dist2(q, p)
-		if best.ID < 0 || d2 < best.Dist2 || (d2 == best.Dist2 && id < best.ID) {
-			best = Neighbor{ID: id, Dist2: d2}
-		}
-		return true
-	})
-	ix.stats.candidates.Add(uint64(seen))
-	if best.ID < 0 {
-		ix.stats.fallbacks.Add(1)
-		return ix.scanNearest(q), nil
-	}
-	return best, nil
-}
-
 // Candidates returns the distinct point ids whose stored approximation
 // contains q — the paper's overlap measure in query form (1 distinct
 // candidate = the perfect multidimensional-uniform case).
@@ -420,8 +380,9 @@ func (ix *Index) NearestNeighborBatch(qs []vec.Point, workers int) ([]Neighbor, 
 	return out, nil
 }
 
-// scanNearest is the exact O(n) sequential scan, retained as the correctness
-// oracle for the fallback path (tests) and used by NearestNeighborLegacy.
+// scanNearest is the exact O(n) sequential scan (lowest id among ties),
+// retained as the in-package correctness oracle the engine tests compare
+// against.
 func (ix *Index) scanNearest(q vec.Point) Neighbor {
 	metric := vec.Euclidean{}
 	best := Neighbor{ID: -1}

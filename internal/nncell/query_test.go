@@ -8,10 +8,10 @@ import (
 	"repro/internal/dataset"
 )
 
-// The QueryCtx engine must return exactly what the seed recursive path
-// returns, on smooth and clustered data alike, for every constraint-selection
-// algorithm, including queries outside the data space (both paths are exact
-// there via different fallbacks).
+// Both engines must return exactly what the O(n) scan oracle returns (the
+// lowest id among distance ties), on smooth and clustered data alike, for
+// every constraint-selection algorithm, including queries outside the data
+// space (the engines resolve those through their fallbacks).
 func TestEngineMatchesLegacy(t *testing.T) {
 	for _, name := range []dataset.Name{dataset.NameUniform, dataset.NameFourier} {
 		for _, alg := range Algorithms() {
@@ -23,16 +23,13 @@ func TestEngineMatchesLegacy(t *testing.T) {
 					q := randQuery(rng, d)
 					if qi%8 == 7 {
 						// Push a coordinate outside the unit cube to cover the
-						// fallback on both paths.
+						// fallback path.
 						q[qi%d] += 1.5
 					}
-					want, err := ix.NearestNeighborLegacy(q)
-					if err != nil {
-						t.Fatalf("%s/%s/d=%d: %v", name, alg, d, err)
-					}
+					want := ix.scanNearest(q)
 					got := nearestBoth(t, ix, q)
 					if want != got {
-						t.Fatalf("%s/%s/d=%d q=%v: engine %+v, legacy %+v", name, alg, d, q, got, want)
+						t.Fatalf("%s/%s/d=%d q=%v: engine %+v, scan oracle %+v", name, alg, d, q, got, want)
 					}
 				}
 			}

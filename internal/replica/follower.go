@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -30,12 +31,12 @@ type Config struct {
 	// call.
 	Client *http.Client
 	// Load builds a fresh index from a snapshot stream (the caller picks
-	// pager config and sharded-vs-single detection).
-	Load func(r io.Reader) (Replica, error)
+	// the pager config).
+	Load func(r io.Reader) (*shard.Sharded, error)
 	// OnReplica is called with each freshly bootstrapped index, before any
 	// records are applied to it — the server installs it for read traffic
 	// here (an atomic swap; the previous index keeps serving until then).
-	OnReplica func(Replica)
+	OnReplica func(*shard.Sharded)
 	// PollWait is the long-poll duration asked of the stream endpoint.
 	// Default 1s.
 	PollWait time.Duration
@@ -130,8 +131,6 @@ type Follower struct {
 	done   chan struct{}
 
 	mu           sync.Mutex
-	rep          Replica
-	boot         string
 	logs         []*logState
 	bootstraps   uint64
 	bootstrapped bool
@@ -214,7 +213,7 @@ func (f *Follower) cycle() error {
 		return err
 	}
 	f.mu.Lock()
-	f.rep, f.boot, f.logs = rep, boot, states
+	f.logs = states
 	f.bootstraps++
 	f.bootstrapped = true
 	f.lastCaught = time.Now()
@@ -241,7 +240,7 @@ func (f *Follower) cycle() error {
 
 // bootstrap fetches and loads the primary's snapshot, returning the boot
 // id, the fresh index, and the per-log start positions (the rotation cuts).
-func (f *Follower) bootstrap() (string, Replica, []*logState, error) {
+func (f *Follower) bootstrap() (string, *shard.Sharded, []*logState, error) {
 	ctx, cancel := context.WithTimeout(f.ctx, f.cfg.BootstrapTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Primary+"/v1/repl/snapshot", nil)
@@ -280,8 +279,8 @@ func (f *Follower) bootstrap() (string, Replica, []*logState, error) {
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("loading snapshot: %w", err)
 	}
-	if rep.NumLogs() != n {
-		return "", nil, nil, fmt.Errorf("snapshot has %d logs, primary advertises %d", rep.NumLogs(), n)
+	if rep.NumShards() != n {
+		return "", nil, nil, fmt.Errorf("snapshot has %d shards, primary advertises %d logs", rep.NumShards(), n)
 	}
 	states := make([]*logState, n)
 	for i := range states {
@@ -302,7 +301,7 @@ type streamHdr struct {
 // records, advance across sealed segment boundaries, long-poll the active
 // tip. Network errors back off and retry in place; protocol signals (boot
 // change, 410, 416, contradiction) return errRebootstrap.
-func (f *Follower) tail(ctx context.Context, rep Replica, boot string, log int, st *logState) error {
+func (f *Follower) tail(ctx context.Context, rep *shard.Sharded, boot string, log int, st *logState) error {
 	cur := &wal.Cursor{}
 	backoff := f.cfg.RetryBase
 	for ctx.Err() == nil {
@@ -335,7 +334,7 @@ func (f *Follower) tail(ctx context.Context, rep Replica, boot string, log int, 
 		}
 
 		applied, torn, err := ingest(cur, body, hdr.sealed, func(rec wal.Record) error {
-			_, aerr := rep.ApplyLogRecord(log, rec)
+			_, aerr := rep.Shard(log).ApplyLogRecord(rec)
 			return aerr
 		})
 		if err != nil {

@@ -1,7 +1,8 @@
-// Package replica implements WAL-shipping replication for the NN-cell
-// engine: a primary Source that serves its snapshot and WAL segments over
-// HTTP, and a Follower that bootstraps from the snapshot and replays the
-// shipped segments through the idempotent ApplyLogRecord path.
+// Package replica implements WAL-shipping replication for the sharded NN-cell
+// index (shard.Sharded, one WAL per shard): a primary Source that serves its
+// snapshot and per-shard WAL segments over HTTP, and a Follower that
+// bootstraps from the snapshot and replays each shipped log into the
+// matching shard through the idempotent ApplyLogRecord path.
 //
 // The protocol is exact, not approximate. The index is a deterministic
 // function of its acknowledged mutation history: a snapshot plus the
@@ -31,99 +32,7 @@ package replica
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
-	"io"
-
-	"repro/internal/nncell"
-	"repro/internal/shard"
-	"repro/internal/wal"
 )
-
-// Primary is the serving side a Source ships from: an index with one WAL
-// per log slot. Both *nncell.Index (one log) and *shard.Sharded (one log
-// per shard) satisfy it through the adapters below.
-type Primary interface {
-	// NumLogs returns the fixed number of logs (shards).
-	NumLogs() int
-	// Log returns log i; nil means replication is impossible.
-	Log(i int) *wal.Log
-	// RotateWAL seals every active segment and returns the per-log cuts.
-	RotateWAL() ([]uint64, error)
-	// Save streams a consistent snapshot (takes the index read lock).
-	Save(w io.Writer) error
-}
-
-// Replica is the follower side: a freshly loaded index accepting replayed
-// records per log slot.
-type Replica interface {
-	NumLogs() int
-	// ApplyLogRecord replays one record into log slot i's shard, reporting
-	// whether it mutated the index (false: stale duplicate).
-	ApplyLogRecord(i int, rec wal.Record) (bool, error)
-}
-
-type singlePrimary struct{ ix *nncell.Index }
-
-// SinglePrimary adapts an unsharded index (one WAL) as a Primary.
-func SinglePrimary(ix *nncell.Index) Primary { return singlePrimary{ix} }
-
-func (p singlePrimary) NumLogs() int { return 1 }
-func (p singlePrimary) Log(i int) *wal.Log {
-	if i != 0 {
-		return nil
-	}
-	return p.ix.WAL()
-}
-func (p singlePrimary) RotateWAL() ([]uint64, error) {
-	cut, err := p.ix.RotateWAL()
-	if err != nil {
-		return nil, err
-	}
-	return []uint64{cut}, nil
-}
-func (p singlePrimary) Save(w io.Writer) error { return p.ix.Save(w) }
-
-type shardedPrimary struct{ s *shard.Sharded }
-
-// ShardedPrimary adapts a sharded index (one WAL per shard) as a Primary.
-func ShardedPrimary(s *shard.Sharded) Primary { return shardedPrimary{s} }
-
-func (p shardedPrimary) NumLogs() int { return p.s.NumShards() }
-func (p shardedPrimary) Log(i int) *wal.Log {
-	if i < 0 || i >= p.s.NumShards() {
-		return nil
-	}
-	return p.s.Shard(i).WAL()
-}
-func (p shardedPrimary) RotateWAL() ([]uint64, error) { return p.s.RotateWAL() }
-func (p shardedPrimary) Save(w io.Writer) error       { return p.s.Save(w) }
-
-type singleReplica struct{ ix *nncell.Index }
-
-// SingleReplica adapts an unsharded index as a replay target.
-func SingleReplica(ix *nncell.Index) Replica { return singleReplica{ix} }
-
-func (t singleReplica) NumLogs() int { return 1 }
-func (t singleReplica) ApplyLogRecord(i int, rec wal.Record) (bool, error) {
-	if i != 0 {
-		return false, fmt.Errorf("replica: record for log %d on a single-log index", i)
-	}
-	return t.ix.ApplyLogRecord(rec)
-}
-
-type shardedReplica struct{ s *shard.Sharded }
-
-// ShardedReplica adapts a sharded index as a replay target: log slot i
-// replays into shard i, exactly mirroring the primary's per-shard logs.
-func ShardedReplica(s *shard.Sharded) Replica { return shardedReplica{s} }
-
-func (t shardedReplica) NumLogs() int { return t.s.NumShards() }
-func (t shardedReplica) ApplyLogRecord(i int, rec wal.Record) (bool, error) {
-	if i < 0 || i >= t.s.NumShards() {
-		return false, fmt.Errorf("replica: record for log %d, have %d shards", i, t.s.NumShards())
-	}
-	return t.s.Shard(i).ApplyLogRecord(rec)
-}
 
 // newBootID returns a random identifier for one primary process lifetime.
 // Followers compare it on every response: any change means the primary

@@ -23,10 +23,18 @@ import (
 
 const testDim = 3
 
+// testOptions configures every test index: one shard unless a test says
+// otherwise.
+var testOptions = shard.Options{
+	Shards: 1,
+	Pager:  pager.Config{CachePages: 64},
+	Index:  nncell.Options{Algorithm: nncell.Sphere},
+}
+
 // primaryFixture is an in-process primary: an index on a Mem filesystem
-// with an attached WAL and a Source served over httptest.
+// with attached WALs and a Source served over httptest.
 type primaryFixture struct {
-	ix  *nncell.Index
+	ix  *shard.Sharded
 	mem *iofault.Mem
 	src *Source
 	ts  *httptest.Server
@@ -36,19 +44,23 @@ func newPrimaryFixture(t *testing.T, n int) *primaryFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	pts := dataset.Deduplicate(dataset.Uniform(rng, n, testDim))
-	ix, err := nncell.Build(pts, vec.UnitCube(testDim), pager.New(pager.Config{CachePages: 64}),
-		nncell.Options{Algorithm: nncell.Sphere})
+	ix, err := shard.Build(pts, vec.UnitCube(testDim), testOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return servePrimary(t, ix)
+}
+
+// servePrimary attaches WALs to ix on a fresh Mem filesystem and serves its
+// replication feed.
+func servePrimary(t *testing.T, ix *shard.Sharded) *primaryFixture {
+	t.Helper()
 	mem := iofault.NewMem()
-	l, err := wal.Open("wal", wal.Options{FS: mem})
-	if err != nil {
+	if err := ix.OpenWALs("wal", wal.Options{FS: mem}); err != nil {
 		t.Fatal(err)
 	}
-	ix.AttachWAL(l)
-	t.Cleanup(func() { ix.AttachWAL(nil); l.Close() })
-	src, err := NewSource(SinglePrimary(ix), mem)
+	t.Cleanup(func() { ix.Close() })
+	src, err := NewSource(ix, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,30 +73,20 @@ func newPrimaryFixture(t *testing.T, n int) *primaryFixture {
 // installed replica index.
 type followerFixture struct {
 	f   *Follower
-	rep atomic.Value // Replica
+	rep atomic.Pointer[shard.Sharded]
 }
 
-func (ff *followerFixture) index() *nncell.Index {
-	v := ff.rep.Load()
-	if v == nil {
-		return nil
-	}
-	return v.(Replica).(singleReplica).ix
-}
+func (ff *followerFixture) index() *shard.Sharded { return ff.rep.Load() }
 
 func startFollower(t *testing.T, primary string) *followerFixture {
 	t.Helper()
 	ff := &followerFixture{}
 	f, err := NewFollower(Config{
 		Primary: primary,
-		Load: func(r io.Reader) (Replica, error) {
-			ix, err := nncell.Load(r, pager.New(pager.Config{CachePages: 64}))
-			if err != nil {
-				return nil, err
-			}
-			return SingleReplica(ix), nil
+		Load: func(r io.Reader) (*shard.Sharded, error) {
+			return shard.Load(r, shard.Options{Pager: pager.Config{CachePages: 64}})
 		},
-		OnReplica: func(rep Replica) { ff.rep.Store(rep) },
+		OnReplica: func(ix *shard.Sharded) { ff.rep.Store(ix) },
 		PollWait:  30 * time.Millisecond,
 		RetryBase: 10 * time.Millisecond,
 		RetryMax:  100 * time.Millisecond,
@@ -118,7 +120,7 @@ func waitConverged(t *testing.T, ff *followerFixture, wantLen int) {
 
 // sameAnswers asserts bitwise-identical nearest-neighbor answers — the
 // protocol's exactness claim, not an approximate-agreement check.
-func sameAnswers(t *testing.T, a, b *nncell.Index, queries int, seed int64) {
+func sameAnswers(t *testing.T, a, b *shard.Sharded, queries int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < queries; i++ {
@@ -171,6 +173,28 @@ func TestFollowerConvergesAndMatches(t *testing.T) {
 	}
 }
 
+// TestFollowerFromEmptyPrimary: a primary bootstrapped with zero points (the
+// default one-shard `serve -n 0`) must ship a snapshot a follower can load,
+// and the follower must then apply the primary's first insert.
+func TestFollowerFromEmptyPrimary(t *testing.T) {
+	ix, err := shard.NewEmpty(testDim, vec.UnitCube(testDim), testOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := servePrimary(t, ix)
+	ff := startFollower(t, p.ts.URL)
+	waitConverged(t, ff, 0)
+
+	if _, err := p.ix.Insert(vec.Point{0.25, 0.5, 0.75}); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, ff, 1)
+	sameAnswers(t, p.ix, ff.index(), 20, 41)
+	if st := ff.f.Stats(); st.Bootstraps != 1 {
+		t.Fatalf("expected exactly one bootstrap, got %d", st.Bootstraps)
+	}
+}
+
 // TestFollowerRebootstrapsOnBootChange: swapping the Source (a primary
 // restart: same data, new boot id, reset positions) must push the follower
 // through a clean re-bootstrap, after which it converges again.
@@ -187,7 +211,7 @@ func TestFollowerRebootstrapsOnBootChange(t *testing.T) {
 	waitConverged(t, ff, p.ix.Len())
 
 	// "Restart" the primary: a new Source mints a new boot id.
-	src2, err := NewSource(SinglePrimary(p.ix), p.mem)
+	src2, err := NewSource(p.ix, p.mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +266,14 @@ func TestFollowerRebootstrapsAfterCompaction(t *testing.T) {
 	// Snapshot-and-compact twice: the first seals the segment the follower
 	// was tailing; the second removes it.
 	for round := 0; round < 2; round++ {
-		cut, err := p.ix.RotateWAL()
+		cuts, err := p.ix.RotateWAL()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := p.ix.Save(io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.ix.CompactWAL(cut); err != nil {
+		if err := p.ix.CompactWAL(cuts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -287,24 +311,20 @@ func TestShardedReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sx.Close() })
-	src, err := NewSource(ShardedPrimary(sx), mem)
+	src, err := NewSource(sx, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(src)
 	t.Cleanup(ts.Close)
 
-	var repBox atomic.Value
+	var repBox atomic.Pointer[shard.Sharded]
 	f, err := NewFollower(Config{
 		Primary: ts.URL,
-		Load: func(r io.Reader) (Replica, error) {
-			fx, err := shard.Load(r, shard.Options{Pager: pager.Config{CachePages: 64}})
-			if err != nil {
-				return nil, err
-			}
-			return ShardedReplica(fx), nil
+		Load: func(r io.Reader) (*shard.Sharded, error) {
+			return shard.Load(r, shard.Options{Pager: pager.Config{CachePages: 64}})
 		},
-		OnReplica: func(rep Replica) { repBox.Store(rep) },
+		OnReplica: func(ix *shard.Sharded) { repBox.Store(ix) },
 		PollWait:  30 * time.Millisecond,
 		RetryBase: 10 * time.Millisecond,
 		Logf:      t.Logf,
@@ -331,11 +351,8 @@ func TestShardedReplication(t *testing.T) {
 	for time.Now().Before(deadline) {
 		st := f.Stats()
 		if st.Bootstrapped && st.LagRecords == 0 {
-			if v := repBox.Load(); v != nil {
-				fx = v.(Replica).(shardedReplica).s
-				if fx.Len() == sx.Len() {
-					break
-				}
+			if fx = repBox.Load(); fx != nil && fx.Len() == sx.Len() {
+				break
 			}
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -370,18 +387,16 @@ func TestIngestEveryOffsetTruncation(t *testing.T) {
 	// A small primary so the O(bytes × loads) matrix stays fast.
 	rng := rand.New(rand.NewSource(3))
 	pts := dataset.Deduplicate(dataset.Uniform(rng, 24, 2))
-	ix, err := nncell.Build(pts, vec.UnitCube(2), pager.New(pager.Config{CachePages: 16}),
-		nncell.Options{Algorithm: nncell.Sphere})
+	ix, err := shard.Build(pts, vec.UnitCube(2), testOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := iofault.NewMem()
-	l, err := wal.Open("wal", wal.Options{FS: mem})
-	if err != nil {
+	if err := ix.OpenWALs("wal", wal.Options{FS: mem}); err != nil {
 		t.Fatal(err)
 	}
-	ix.AttachWAL(l)
-	defer func() { ix.AttachWAL(nil); l.Close() }()
+	defer ix.Close()
+	l := ix.Shard(0).WAL()
 
 	// The snapshot is the follower's bootstrap state; everything after it
 	// lives in the (currently empty) active segment — the shipped unit.
@@ -434,13 +449,13 @@ func TestIngestEveryOffsetTruncation(t *testing.T) {
 	}
 
 	for cut := 0; cut <= len(seg); cut++ {
-		rep, err := nncell.Load(newReadBuffer(snap.b), pager.New(pager.Config{CachePages: 16}))
+		rep, err := shard.Load(newReadBuffer(snap.b), shard.Options{Pager: pager.Config{CachePages: 16}})
 		if err != nil {
 			t.Fatalf("cut %d: load: %v", cut, err)
 		}
 		cur := &wal.Cursor{}
 		applied, torn, err := ingest(cur, seg[:cut], false, func(rec wal.Record) error {
-			_, aerr := rep.ApplyLogRecord(rec)
+			_, aerr := rep.Shard(0).ApplyLogRecord(rec)
 			return aerr
 		})
 		if err != nil {
@@ -478,9 +493,10 @@ func TestSourceStreamTornMidTransfer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := p.ix.WAL().ActiveSegmentPath()
+	l := p.ix.Shard(0).WAL()
+	path := l.ActiveSegmentPath()
 	full, _ := p.mem.Bytes(path)
-	info, err := p.ix.WAL().SegmentsInfo()
+	info, err := l.SegmentsInfo()
 	if err != nil {
 		t.Fatal(err)
 	}

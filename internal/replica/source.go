@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/iofault"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -55,25 +56,26 @@ const maxStreamWait = 30 * time.Second
 // re-checks the log for new durable bytes.
 const streamPollInterval = 15 * time.Millisecond
 
-// Source serves a primary's replication feed as an http.Handler.
+// Source serves a primary's replication feed as an http.Handler. Log i is
+// shard i's WAL.
 type Source struct {
-	p      Primary
+	s      *shard.Sharded
 	fs     iofault.FS
 	bootID string
 }
 
-// NewSource wraps the primary. fs must be the filesystem its WALs live on
-// (nil = the real one); every log slot must have a WAL attached.
-func NewSource(p Primary, fs iofault.FS) (*Source, error) {
+// NewSource wraps the primary index. fs must be the filesystem its WALs live
+// on (nil = the real one); every shard must have a WAL attached.
+func NewSource(s *shard.Sharded, fs iofault.FS) (*Source, error) {
 	if fs == nil {
 		fs = iofault.OS{}
 	}
-	for i := 0; i < p.NumLogs(); i++ {
-		if p.Log(i) == nil {
-			return nil, fmt.Errorf("replica: log %d has no WAL attached; replication requires -wal-dir", i)
+	for i := 0; i < s.NumShards(); i++ {
+		if s.Shard(i).WAL() == nil {
+			return nil, fmt.Errorf("replica: shard %d has no WAL attached; replication requires -wal-dir", i)
 		}
 	}
-	return &Source{p: p, fs: fs, bootID: newBootID()}, nil
+	return &Source{s: s, fs: fs, bootID: newBootID()}, nil
 }
 
 // BootID returns the primary lifetime identifier stamped on every response.
@@ -105,14 +107,14 @@ func (s *Source) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // where the follower's idempotent replay makes the overlap harmless. The
 // reverse order would lose records appended between Save and Rotate.
 func (s *Source) serveSnapshot(w http.ResponseWriter, r *http.Request) {
-	cuts, err := s.p.RotateWAL()
+	cuts, err := s.s.RotateWAL()
 	if err != nil {
 		http.Error(w, fmt.Sprintf("rotating for snapshot cut: %v", err), http.StatusServiceUnavailable)
 		return
 	}
 	appends := make([]uint64, len(cuts))
 	for i := range appends {
-		info, err := s.p.Log(i).SegmentsInfo()
+		info, err := s.s.Shard(i).WAL().SegmentsInfo()
 		if err != nil {
 			http.Error(w, fmt.Sprintf("manifest of log %d: %v", i, err), http.StatusServiceUnavailable)
 			return
@@ -125,7 +127,7 @@ func (s *Source) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	// A Save failure past this point can only sever the connection; the
 	// follower sees a short/invalid stream and retries bootstrap.
-	if err := s.p.Save(w); err != nil {
+	if err := s.s.Save(w); err != nil {
 		return
 	}
 }
@@ -255,11 +257,11 @@ func (s *Source) sendSegmentBytes(w http.ResponseWriter, dir string, seq uint64,
 // log resolves the ?log= parameter; on failure it has already answered.
 func (s *Source) log(w http.ResponseWriter, r *http.Request) (*wal.Log, int, bool) {
 	i, err := strconv.Atoi(r.URL.Query().Get("log"))
-	if err != nil || i < 0 || i >= s.p.NumLogs() {
-		http.Error(w, fmt.Sprintf("log must be in [0, %d)", s.p.NumLogs()), http.StatusBadRequest)
+	if err != nil || i < 0 || i >= s.s.NumShards() {
+		http.Error(w, fmt.Sprintf("log must be in [0, %d)", s.s.NumShards()), http.StatusBadRequest)
 		return nil, 0, false
 	}
-	return s.p.Log(i), i, true
+	return s.s.Shard(i).WAL(), i, true
 }
 
 func joinUints(xs []uint64) string {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/iofault"
 	"repro/internal/nncell"
 	"repro/internal/pager"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -188,11 +189,9 @@ func TestMutationEndpoints(t *testing.T) {
 func TestSnapshotCompactsWAL(t *testing.T) {
 	ix, _ := buildTestIndex(t, 60)
 	m := iofault.NewMem()
-	wl, err := wal.Open("wal", wal.Options{FS: m, Policy: wal.SyncAlways})
-	if err != nil {
+	if err := ix.OpenWALs("wal", wal.Options{FS: m, Policy: wal.SyncAlways}); err != nil {
 		t.Fatal(err)
 	}
-	ix.AttachWAL(wl)
 
 	for i := 0; i < 5; i++ {
 		if _, err := ix.Insert([]float64{0.9, 0.01 * float64(i+1), 0.5}); err != nil {
@@ -224,7 +223,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := wl.Close(); err != nil {
+	if err := ix.CloseWALs(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -234,7 +233,7 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 	if !ok {
 		t.Fatal("snapshot file missing from the fault filesystem")
 	}
-	rec, err := nncell.Load(bytes.NewReader(raw), pager.New(pager.Config{CachePages: 64}))
+	rec, err := shard.Load(bytes.NewReader(raw), shard.Options{Pager: pager.Config{CachePages: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +257,10 @@ func TestSnapshotCompactsWAL(t *testing.T) {
 func TestWALMetricsAndRecoveryReport(t *testing.T) {
 	ix, _ := buildTestIndex(t, 60)
 	m := iofault.NewMem()
-	wl, err := wal.Open("wal", wal.Options{FS: m, Policy: wal.SyncAlways})
-	if err != nil {
+	if err := ix.OpenWALs("wal", wal.Options{FS: m, Policy: wal.SyncAlways}); err != nil {
 		t.Fatal(err)
 	}
-	ix.AttachWAL(wl)
-	t.Cleanup(func() { wl.Close() })
+	t.Cleanup(func() { ix.CloseWALs() })
 	for i := 0; i < 4; i++ {
 		if _, err := ix.Insert([]float64{0.8, 0.02 * float64(i+1), 0.4}); err != nil {
 			t.Fatal(err)

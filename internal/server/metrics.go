@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/nncell"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/wal"
 )
@@ -238,91 +237,84 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE nncell_pager_live_pages gauge\n")
 	fmt.Fprintf(w, "nncell_pager_live_pages %d\n", ix.PagerLivePages())
 
-	// Per-shard breakdown when the served index is sharded: routing skew
-	// and per-shard maintenance load are invisible in the aggregates above.
-	if ss, ok := ix.(interface{ ShardStats() []shard.ShardStat }); ok {
-		sts := ss.ShardStats()
-		fmt.Fprintf(w, "# HELP nncell_shard_points Live points per shard.\n")
-		fmt.Fprintf(w, "# TYPE nncell_shard_points gauge\n")
-		for i, st := range sts {
-			fmt.Fprintf(w, "nncell_shard_points{shard=\"%d\"} %d\n", i, st.Points)
-		}
-		fmt.Fprintf(w, "# HELP nncell_shard_fragments Cell-approximation fragments per shard.\n")
-		fmt.Fprintf(w, "# TYPE nncell_shard_fragments gauge\n")
-		for i, st := range sts {
-			fmt.Fprintf(w, "nncell_shard_fragments{shard=\"%d\"} %d\n", i, st.Fragments)
-		}
-		fmt.Fprintf(w, "# HELP nncell_shard_queries_total Queries answered per shard.\n")
-		fmt.Fprintf(w, "# TYPE nncell_shard_queries_total counter\n")
-		for i, st := range sts {
-			fmt.Fprintf(w, "nncell_shard_queries_total{shard=\"%d\"} %d\n", i, st.Queries)
-		}
-		fmt.Fprintf(w, "# HELP nncell_shard_query_engine_total NN queries per shard and answering engine.\n")
-		fmt.Fprintf(w, "# TYPE nncell_shard_query_engine_total counter\n")
-		for i, st := range sts {
-			for e, n := range st.Engines {
-				fmt.Fprintf(w, "nncell_shard_query_engine_total{shard=\"%d\",engine=\"%s\"} %d\n", i, nncell.Engine(e), n)
-			}
-		}
-		fmt.Fprintf(w, "# HELP nncell_shard_updates_total Affected-cell recomputations per shard.\n")
-		fmt.Fprintf(w, "# TYPE nncell_shard_updates_total counter\n")
-		for i, st := range sts {
-			fmt.Fprintf(w, "nncell_shard_updates_total{shard=\"%d\"} %d\n", i, st.Updates)
+	// Per-shard breakdown: routing skew and per-shard maintenance load are
+	// invisible in the aggregates above.
+	sts := ix.ShardStats()
+	fmt.Fprintf(w, "# HELP nncell_shard_points Live points per shard.\n")
+	fmt.Fprintf(w, "# TYPE nncell_shard_points gauge\n")
+	for i, st := range sts {
+		fmt.Fprintf(w, "nncell_shard_points{shard=\"%d\"} %d\n", i, st.Points)
+	}
+	fmt.Fprintf(w, "# HELP nncell_shard_fragments Cell-approximation fragments per shard.\n")
+	fmt.Fprintf(w, "# TYPE nncell_shard_fragments gauge\n")
+	for i, st := range sts {
+		fmt.Fprintf(w, "nncell_shard_fragments{shard=\"%d\"} %d\n", i, st.Fragments)
+	}
+	fmt.Fprintf(w, "# HELP nncell_shard_queries_total Queries answered per shard.\n")
+	fmt.Fprintf(w, "# TYPE nncell_shard_queries_total counter\n")
+	for i, st := range sts {
+		fmt.Fprintf(w, "nncell_shard_queries_total{shard=\"%d\"} %d\n", i, st.Queries)
+	}
+	fmt.Fprintf(w, "# HELP nncell_shard_query_engine_total NN queries per shard and answering engine.\n")
+	fmt.Fprintf(w, "# TYPE nncell_shard_query_engine_total counter\n")
+	for i, st := range sts {
+		for e, n := range st.Engines {
+			fmt.Fprintf(w, "nncell_shard_query_engine_total{shard=\"%d\",engine=\"%s\"} %d\n", i, nncell.Engine(e), n)
 		}
 	}
-
-	// Shards-visited histogram when the served index routes queries: the
-	// number this whole routing subsystem exists to shrink. Hash routing
-	// pins it at S; grid routing should hold it to a small constant.
-	if rs, ok := ix.(interface{ RouteStats() shard.RouteStats }); ok {
-		st := rs.RouteStats()
-		fmt.Fprintf(w, "# HELP nncell_route_info Active shard-routing policy (label carries the name).\n")
-		fmt.Fprintf(w, "# TYPE nncell_route_info gauge\n")
-		fmt.Fprintf(w, "nncell_route_info{policy=%q} 1\n", st.Kind)
-		fmt.Fprintf(w, "# HELP nncell_query_shards_visited Shards probed per routed read query.\n")
-		fmt.Fprintf(w, "# TYPE nncell_query_shards_visited histogram\n")
-		cum := uint64(0)
-		for i, n := range st.Hist {
-			cum += n
-			fmt.Fprintf(w, "nncell_query_shards_visited_bucket{le=\"%d\"} %d\n", 1<<i, cum)
-		}
-		fmt.Fprintf(w, "nncell_query_shards_visited_bucket{le=\"+Inf\"} %d\n", st.Queries)
-		fmt.Fprintf(w, "nncell_query_shards_visited_sum %d\n", st.Visited)
-		fmt.Fprintf(w, "nncell_query_shards_visited_count %d\n", st.Queries)
+	fmt.Fprintf(w, "# HELP nncell_shard_updates_total Affected-cell recomputations per shard.\n")
+	fmt.Fprintf(w, "# TYPE nncell_shard_updates_total counter\n")
+	for i, st := range sts {
+		fmt.Fprintf(w, "nncell_shard_updates_total{shard=\"%d\"} %d\n", i, st.Updates)
 	}
 
-	// WAL counters when the served index is durable. Both index flavours
-	// expose WALStats; an all-zero Stats means no WAL is attached, in which
-	// case the series are suppressed (absence = durability off).
-	if ws, ok := ix.(interface{ WALStats() wal.Stats }); ok {
-		st := ws.WALStats()
-		if st != (wal.Stats{}) {
-			fmt.Fprintf(w, "# HELP nncell_wal_appends_total Records appended to the write-ahead log.\n")
-			fmt.Fprintf(w, "# TYPE nncell_wal_appends_total counter\n")
-			fmt.Fprintf(w, "nncell_wal_appends_total %d\n", st.Appends)
-			fmt.Fprintf(w, "# HELP nncell_wal_appended_bytes_total Framed bytes appended to the log.\n")
-			fmt.Fprintf(w, "# TYPE nncell_wal_appended_bytes_total counter\n")
-			fmt.Fprintf(w, "nncell_wal_appended_bytes_total %d\n", st.AppendedBytes)
-			fmt.Fprintf(w, "# HELP nncell_wal_fsyncs_total Successful log fsyncs.\n")
-			fmt.Fprintf(w, "# TYPE nncell_wal_fsyncs_total counter\n")
-			fmt.Fprintf(w, "nncell_wal_fsyncs_total %d\n", st.Syncs)
-			fmt.Fprintf(w, "# HELP nncell_wal_fsync_failures_total Failed log fsyncs (each latches the log).\n")
-			fmt.Fprintf(w, "# TYPE nncell_wal_fsync_failures_total counter\n")
-			fmt.Fprintf(w, "nncell_wal_fsync_failures_total %d\n", st.SyncFailures)
-			fmt.Fprintf(w, "# HELP nncell_wal_rotations_total Segment rotations.\n")
-			fmt.Fprintf(w, "# TYPE nncell_wal_rotations_total counter\n")
-			fmt.Fprintf(w, "nncell_wal_rotations_total %d\n", st.Rotations)
-			fmt.Fprintf(w, "# HELP nncell_wal_compactions_total Log compactions (snapshot-driven truncations).\n")
-			fmt.Fprintf(w, "# TYPE nncell_wal_compactions_total counter\n")
-			fmt.Fprintf(w, "nncell_wal_compactions_total %d\n", st.Compactions)
-			failed := 0
-			if st.Failed {
-				failed = 1
-			}
-			fmt.Fprintf(w, "# HELP nncell_wal_failed Whether the log has latched its sticky failure state.\n")
-			fmt.Fprintf(w, "# TYPE nncell_wal_failed gauge\n")
-			fmt.Fprintf(w, "nncell_wal_failed %d\n", failed)
+	// Shards-visited histogram: the number this whole routing subsystem
+	// exists to shrink. Hash routing pins it at S; grid routing should hold
+	// it to a small constant.
+	rs := ix.RouteStats()
+	fmt.Fprintf(w, "# HELP nncell_route_info Active shard-routing policy (label carries the name).\n")
+	fmt.Fprintf(w, "# TYPE nncell_route_info gauge\n")
+	fmt.Fprintf(w, "nncell_route_info{policy=%q} 1\n", rs.Kind)
+	fmt.Fprintf(w, "# HELP nncell_query_shards_visited Shards probed per routed read query.\n")
+	fmt.Fprintf(w, "# TYPE nncell_query_shards_visited histogram\n")
+	cum := uint64(0)
+	for i, n := range rs.Hist {
+		cum += n
+		fmt.Fprintf(w, "nncell_query_shards_visited_bucket{le=\"%d\"} %d\n", 1<<i, cum)
+	}
+	fmt.Fprintf(w, "nncell_query_shards_visited_bucket{le=\"+Inf\"} %d\n", rs.Queries)
+	fmt.Fprintf(w, "nncell_query_shards_visited_sum %d\n", rs.Visited)
+	fmt.Fprintf(w, "nncell_query_shards_visited_count %d\n", rs.Queries)
+
+	// WAL counters when the served index is durable. An all-zero Stats
+	// means no WAL is attached, in which case the series are suppressed
+	// (absence = durability off).
+	if st := ix.WALStats(); st != (wal.Stats{}) {
+		fmt.Fprintf(w, "# HELP nncell_wal_appends_total Records appended to the write-ahead log.\n")
+		fmt.Fprintf(w, "# TYPE nncell_wal_appends_total counter\n")
+		fmt.Fprintf(w, "nncell_wal_appends_total %d\n", st.Appends)
+		fmt.Fprintf(w, "# HELP nncell_wal_appended_bytes_total Framed bytes appended to the log.\n")
+		fmt.Fprintf(w, "# TYPE nncell_wal_appended_bytes_total counter\n")
+		fmt.Fprintf(w, "nncell_wal_appended_bytes_total %d\n", st.AppendedBytes)
+		fmt.Fprintf(w, "# HELP nncell_wal_fsyncs_total Successful log fsyncs.\n")
+		fmt.Fprintf(w, "# TYPE nncell_wal_fsyncs_total counter\n")
+		fmt.Fprintf(w, "nncell_wal_fsyncs_total %d\n", st.Syncs)
+		fmt.Fprintf(w, "# HELP nncell_wal_fsync_failures_total Failed log fsyncs (each latches the log).\n")
+		fmt.Fprintf(w, "# TYPE nncell_wal_fsync_failures_total counter\n")
+		fmt.Fprintf(w, "nncell_wal_fsync_failures_total %d\n", st.SyncFailures)
+		fmt.Fprintf(w, "# HELP nncell_wal_rotations_total Segment rotations.\n")
+		fmt.Fprintf(w, "# TYPE nncell_wal_rotations_total counter\n")
+		fmt.Fprintf(w, "nncell_wal_rotations_total %d\n", st.Rotations)
+		fmt.Fprintf(w, "# HELP nncell_wal_compactions_total Log compactions (snapshot-driven truncations).\n")
+		fmt.Fprintf(w, "# TYPE nncell_wal_compactions_total counter\n")
+		fmt.Fprintf(w, "nncell_wal_compactions_total %d\n", st.Compactions)
+		failed := 0
+		if st.Failed {
+			failed = 1
 		}
+		fmt.Fprintf(w, "# HELP nncell_wal_failed Whether the log has latched its sticky failure state.\n")
+		fmt.Fprintf(w, "# TYPE nncell_wal_failed gauge\n")
+		fmt.Fprintf(w, "nncell_wal_failed %d\n", failed)
 	}
 
 	fmt.Fprintf(w, "# HELP nncell_snapshots_total Periodic index snapshots written.\n")

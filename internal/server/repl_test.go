@@ -54,12 +54,11 @@ func TestReadOnlyGate(t *testing.T) {
 func TestReplSourceMounted(t *testing.T) {
 	ix, _ := buildTestIndex(t, 60)
 	m := iofault.NewMem()
-	wl, err := wal.Open("wal", wal.Options{FS: m, Policy: wal.SyncAlways})
-	if err != nil {
+	if err := ix.OpenWALs("wal", wal.Options{FS: m, Policy: wal.SyncAlways}); err != nil {
 		t.Fatal(err)
 	}
-	ix.AttachWAL(wl)
-	src, err := replica.NewSource(replica.SinglePrimary(ix), m)
+	t.Cleanup(func() { ix.CloseWALs() })
+	src, err := replica.NewSource(ix, m)
 	if err != nil {
 		t.Fatal(err)
 	}

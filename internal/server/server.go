@@ -1,14 +1,15 @@
-// Package server exposes an nncell.Index over HTTP as a low-latency
-// query-serving layer: JSON endpoints for nearest-neighbor, k-NN and
-// candidate queries (single and batch), a Prometheus-format /metrics surface,
-// and /healthz. The paper's point-query formulation of NN search — retrieve
-// the MBR approximations containing q, refine among the candidates — is
+// Package server exposes a sharded NN-cell index (shard.Sharded; one shard
+// unless configured otherwise) over HTTP as a low-latency query-serving
+// layer: JSON endpoints for nearest-neighbor, k-NN and candidate queries
+// (single and batch), a Prometheus-format /metrics surface, and /healthz.
+// The paper's point-query formulation of NN search — retrieve the MBR
+// approximations containing q, refine among the candidates — is
 // request/response shaped, and the index's read path (pooled QueryCtx
-// contexts, RWMutex read side) already serves concurrent readers at zero
-// allocations per warm query, so the handlers simply call the public
-// nncell API and spend their budget on hygiene: admission control, bounded
-// request bodies, per-endpoint latency histograms, graceful drain on
-// shutdown, and optional periodic snapshots via Index.Save.
+// contexts, per-shard RWMutex read sides) already serves concurrent readers
+// at zero allocations per warm query, so the handlers simply call the index
+// API and spend their budget on hygiene: admission control, bounded request
+// bodies, per-endpoint latency histograms, graceful drain on shutdown, and
+// optional periodic snapshots via Index.Save.
 package server
 
 import (
@@ -29,13 +30,15 @@ import (
 	"repro/internal/pager"
 	"repro/internal/replica"
 	"repro/internal/rescache"
+	"repro/internal/shard"
 	"repro/internal/vec"
+	"repro/internal/wal"
 )
 
-// Index is the serving abstraction: everything the handlers, the metrics
-// surface and the snapshot loop need from an index. Both nncell.Index (one
-// lock, one pager) and shard.Sharded (hash-partitioned, fan-out reads,
-// per-shard locking) satisfy it, so the same serving layer fronts either.
+// Index is everything the handlers, the metrics surface and the snapshot
+// loop need from the served index: the methods of *shard.Sharded they call.
+// It is an interface so a wrapper embedding *shard.Sharded (e.g. one that
+// times each call) can stand in for it.
 type Index interface {
 	Dim() int
 	Len() int
@@ -52,17 +55,9 @@ type Index interface {
 	Save(w io.Writer) error
 	PagerStats() pager.Stats
 	PagerLivePages() int
-}
-
-// walRotator is the single-index WAL compaction surface (nncell.Index).
-type walRotator interface {
-	RotateWAL() (uint64, error)
-	CompactWAL(cut uint64) error
-}
-
-// shardWALRotator is the sharded equivalent (shard.Sharded): one cut per
-// shard's private log.
-type shardWALRotator interface {
+	ShardStats() []shard.ShardStat
+	RouteStats() shard.RouteStats
+	WALStats() wal.Stats
 	RotateWAL() ([]uint64, error)
 	CompactWAL(cuts []uint64) error
 }
@@ -174,7 +169,7 @@ type RecoveryInfo struct {
 	Stats nncell.RecoveryStats
 }
 
-// Server serves one nncell.Index. Construct with New, then either mount
+// Server serves one Index. Construct with New, then either mount
 // Handler on an existing mux or call Listen followed by Serve. The server
 // can start BEFORE its index: New(nil, cfg) serves 503 on every index
 // endpoint and "loading" on readiness until SetIndex installs the index —
@@ -384,11 +379,12 @@ func (s *Server) snapshotLoop(ctx context.Context) {
 // a crash. Save holds the index read lock: queries proceed concurrently,
 // writers wait for the duration of the dump.
 //
-// When the index has a WAL, the snapshot doubles as log compaction: the
-// log rotates FIRST (so every record not covered by this snapshot lands in
-// a surviving segment), then the snapshot is published, then the sealed
-// pre-rotation segments are discarded. A failure after publish leaves
-// extra segments behind — replayed as stale duplicates, never lost data.
+// The snapshot doubles as log compaction: every shard's log rotates FIRST
+// (so every record not covered by this snapshot lands in a surviving
+// segment), then the snapshot is published, then the sealed pre-rotation
+// segments are discarded. A failure after publish leaves extra segments
+// behind — replayed as stale duplicates, never lost data. Shards without a
+// WAL rotate and compact as no-ops.
 func (s *Server) writeSnapshot() error {
 	ix := s.index()
 	if ix == nil {
@@ -396,38 +392,18 @@ func (s *Server) writeSnapshot() error {
 	}
 	start := time.Now()
 
-	var (
-		cut       uint64
-		cuts      []uint64
-		compacter func() error
-	)
-	switch w := ix.(type) {
-	case shardWALRotator:
-		var err error
-		if cuts, err = w.RotateWAL(); err != nil {
-			s.m.snapshotErrs.Add(1)
-			return fmt.Errorf("server: rotating wal: %w", err)
-		}
-		compacter = func() error { return w.CompactWAL(cuts) }
-	case walRotator:
-		var err error
-		if cut, err = w.RotateWAL(); err != nil {
-			s.m.snapshotErrs.Add(1)
-			return fmt.Errorf("server: rotating wal: %w", err)
-		}
-		compacter = func() error { return w.CompactWAL(cut) }
-	}
-
-	err := iofault.WriteAtomic(s.cfg.FS, s.cfg.SnapshotPath, ix.Save)
+	cuts, err := ix.RotateWAL()
 	if err != nil {
+		s.m.snapshotErrs.Add(1)
+		return fmt.Errorf("server: rotating wal: %w", err)
+	}
+	if err := iofault.WriteAtomic(s.cfg.FS, s.cfg.SnapshotPath, ix.Save); err != nil {
 		s.m.snapshotErrs.Add(1)
 		return err
 	}
-	if compacter != nil {
-		if err := compacter(); err != nil {
-			// The snapshot itself is durable; stale segments merely remain.
-			fmt.Fprintf(os.Stderr, "server: wal compaction after snapshot: %v\n", err)
-		}
+	if err := ix.CompactWAL(cuts); err != nil {
+		// The snapshot itself is durable; stale segments merely remain.
+		fmt.Fprintf(os.Stderr, "server: wal compaction after snapshot: %v\n", err)
 	}
 	s.m.snapshots.Add(1)
 	s.m.lastSnapshotNanos.Store(time.Now().UnixNano())

@@ -27,7 +27,7 @@ import (
 
 const testDim = 3
 
-func buildTestIndex(t testing.TB, n int) (*nncell.Index, []vec.Point) {
+func buildTestIndex(t testing.TB, n int) (*shard.Sharded, []vec.Point) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(71))
 	pts, err := dataset.Generate(dataset.NameUniform, rng, n, testDim)
@@ -35,8 +35,11 @@ func buildTestIndex(t testing.TB, n int) (*nncell.Index, []vec.Point) {
 		t.Fatal(err)
 	}
 	pts = dataset.Deduplicate(pts)
-	pg := pager.New(pager.Config{CachePages: 64})
-	ix, err := nncell.Build(pts, vec.UnitCube(testDim), pg, nncell.Options{Algorithm: nncell.Sphere})
+	ix, err := shard.Build(pts, vec.UnitCube(testDim), shard.Options{
+		Shards: 1,
+		Pager:  pager.Config{CachePages: 64},
+		Index:  nncell.Options{Algorithm: nncell.Sphere},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +550,7 @@ func TestPeriodicSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	loaded, err := nncell.Load(f, pager.New(pager.Config{}))
+	loaded, err := shard.Load(f, shard.Options{})
 	if err != nil {
 		t.Fatalf("snapshot does not load: %v", err)
 	}

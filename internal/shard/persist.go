@@ -13,19 +13,14 @@ import (
 	"repro/internal/vec"
 )
 
-// Magic identifies the current sharded snapshot stream; callers that accept
-// several formats (e.g. `nncell serve -load`) sniff it against the
-// single-index magic before choosing a loader. MagicV1 is the previous
-// sharded format, which Load still accepts (v1 predates pluggable routing,
-// so a v1 stream always loads hash-routed).
+// Magic identifies the current sharded snapshot stream. MagicV1 is the
+// previous sharded format, which Load still accepts (v1 predates pluggable
+// routing, so a v1 stream always loads hash-routed), as it accepts a bare
+// single-index stream (nncell.Magic), which loads as one hash-routed shard.
 const (
 	Magic   = "NNSHRDv2"
 	MagicV1 = "NNSHRDv1"
 )
-
-// IsSnapshotMagic reports whether m is the magic of any sharded snapshot
-// version this package can load.
-func IsSnapshotMagic(m string) bool { return m == Magic || m == MagicV1 }
 
 // maxShardCount bounds the header-declared shard count; it exists to reject
 // absurd inputs early, and Load never trusts it for allocation beyond the
@@ -147,7 +142,8 @@ func (s *Sharded) Save(w io.Writer) error {
 }
 
 // Load reconstructs a sharded index from a stream written by Save (current
-// or v1 format). Each shard gets a fresh pager configured by opts.Pager;
+// or v1 format), or from a bare single-index stream written by
+// nncell.Index.Save. Each shard gets a fresh pager configured by opts.Pager;
 // opts.Shards, opts.Route and opts.Grid are ignored — the stream records the
 // partition width and routing policy, which the global-id mapping and point
 // placement depend on. Every present shard blob is fully validated by the
@@ -158,6 +154,9 @@ func Load(r io.Reader, opts Options) (*Sharded, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
 
+	if magic, err := br.Peek(len(nncell.Magic)); err == nil && string(magic) == nncell.Magic {
+		return loadSingle(br, opts)
+	}
 	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("shard: load: %w", err)
@@ -274,6 +273,24 @@ func Load(r io.Reader, opts Options) (*Sharded, error) {
 		return nil, err
 	}
 	return sh, nil
+}
+
+// loadSingle loads a bare single-index stream as one hash-routed shard.
+// With S=1 the global id of every point equals its local id, so the ids a
+// single index handed out stay valid.
+func loadSingle(br *bufio.Reader, opts Options) (*Sharded, error) {
+	pg := pager.New(opts.Pager)
+	ix, err := nncell.Load(br, pg)
+	if err != nil {
+		return nil, fmt.Errorf("shard: load: %w", err)
+	}
+	return &Sharded{
+		dim:    ix.Dim(),
+		bounds: ix.Bounds(),
+		router: &hashRouter{shards: 1},
+		shards: []*nncell.Index{ix},
+		pagers: []*pager.Pager{pg},
+	}, nil
 }
 
 // loadV1 reads the remainder of a v1 stream (magic already consumed). v1

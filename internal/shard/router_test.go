@@ -516,30 +516,7 @@ func TestShardedLoadV1Compat(t *testing.T) {
 	const d = 3
 	pts := uniquePoints(t, 614, 90, d)
 	s := mustBuild(t, pts, d, 4) // hash-routed, so blobs satisfy v1 placement
-	var v1 bytes.Buffer
-	v1.WriteString(MagicV1)
-	writeU32 := func(v uint32) {
-		v1.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
-	}
-	writeU32(uint32(s.NumShards()))
-	for i := 0; i < s.NumShards(); i++ {
-		ix := s.Shard(i)
-		if ix.Len() == 0 {
-			v1.WriteByte(0)
-			continue
-		}
-		var blob bytes.Buffer
-		if err := ix.Save(&blob); err != nil {
-			t.Fatal(err)
-		}
-		v1.WriteByte(1)
-		n := uint64(blob.Len())
-		for b := 0; b < 8; b++ {
-			v1.WriteByte(byte(n >> (8 * b)))
-		}
-		v1.Write(blob.Bytes())
-	}
-	loaded, err := Load(bytes.NewReader(v1.Bytes()), Options{Pager: pager.Config{CachePages: 16}})
+	loaded, err := Load(bytes.NewReader(saveV1(t, s)), Options{Pager: pager.Config{CachePages: 16}})
 	if err != nil {
 		t.Fatalf("v1 load: %v", err)
 	}

@@ -22,7 +22,7 @@ func testOptions(shards int) Options {
 	}
 }
 
-func uniquePoints(t *testing.T, seed int64, n, d int) []vec.Point {
+func uniquePoints(t testing.TB, seed int64, n, d int) []vec.Point {
 	t.Helper()
 	pts := dataset.Deduplicate(dataset.Uniform(rand.New(rand.NewSource(seed)), n+n/4, d))
 	if len(pts) < n {

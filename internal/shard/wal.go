@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/iofault"
 	"repro/internal/nncell"
@@ -74,8 +75,21 @@ func (s *Sharded) Close() error {
 // Recover replays each shard's log directory under root into that shard.
 // Stats are summed across shards; per-shard divergence errors abort with
 // the shard number attached.
+//
+// Segments directly in root are refused: that is the layout of one
+// nncell.Index logging into root, and replaying only the shard
+// subdirectories would silently drop the acknowledged writes they hold.
 func (s *Sharded) Recover(fsys iofault.FS, root string) (nncell.RecoveryStats, error) {
 	var total nncell.RecoveryStats
+	stray, err := wal.SegmentNames(fsys, root)
+	if err != nil {
+		return total, fmt.Errorf("shard: checking wal layout: %w", err)
+	}
+	if len(stray) > 0 {
+		return total, fmt.Errorf("shard: %s holds wal segments outside any shard directory (%s); "+
+			"they are in the single-index layout: move them into %s and restart with one shard",
+			root, strings.Join(stray, ", "), WALDir(root, 0))
+	}
 	for i, ix := range s.shards {
 		rs, err := ix.Recover(fsys, WALDir(root, i))
 		total.Segments += rs.Segments

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/iofault"
+	"repro/internal/nncell"
 	"repro/internal/pager"
 	"repro/internal/scan"
 	"repro/internal/vec"
@@ -220,4 +223,45 @@ func TestShardedCompaction(t *testing.T) {
 		t.Fatalf("applied %d records after compaction, want %d", rs.Applied, len(post))
 	}
 	assertShardedEqual(t, rec, s, 409)
+}
+
+// TestShardedRecoverRefusesRootSegments: segments written straight into the
+// WAL root (the single-index layout) hold acknowledged writes that no shard
+// directory replays; Recover must refuse them by name instead of starting
+// without them.
+func TestShardedRecoverRefusesRootSegments(t *testing.T) {
+	const d = 3
+	pts := uniquePoints(t, 410, 30, d)
+	single, err := nncell.Build(pts[:20], vec.UnitCube(d), pager.New(pager.Config{}), testOptions(1).Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := iofault.NewMem()
+	l, err := wal.Open("wal", wal.Options{FS: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single.AttachWAL(l)
+	for _, p := range pts[20:] {
+		if _, err := single.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := filepath.Base(l.ActiveSegmentPath())
+	single.AttachWAL(nil)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustBuild(t, pts[:20], d, 1)
+	_, err = s.Recover(m, "wal")
+	if err == nil {
+		t.Fatal("recovered over root-level segments, dropping their writes")
+	}
+	if !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), WALDir("wal", 0)) {
+		t.Fatalf("error does not name segment %s and where it belongs: %v", seg, err)
+	}
+	if s.Len() != 20 {
+		t.Fatalf("refused recovery still changed the index: %d points", s.Len())
+	}
 }

@@ -149,16 +149,16 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu     sync.Mutex
-	f      iofault.File
-	seq    uint64 // active segment sequence number
-	size   int64  // bytes written to the active segment
-	synced int64  // durable prefix of the active segment (last successful Sync)
-	recs   uint64 // records appended this lifetime
+	mu      sync.Mutex
+	f       iofault.File
+	seq     uint64 // active segment sequence number
+	size    int64  // bytes written to the active segment
+	synced  int64  // durable prefix of the active segment (last successful Sync)
+	recs    uint64 // records appended this lifetime
 	durRecs uint64 // records appended AND made durable this lifetime
-	dirty  bool   // unsynced appends outstanding
-	failed error  // sticky failure, wraps ErrUnavailable
-	buf    []byte // frame scratch, reused across appends
+	dirty   bool   // unsynced appends outstanding
+	failed  error  // sticky failure, wraps ErrUnavailable
+	buf     []byte // frame scratch, reused across appends
 
 	stopc chan struct{} // closes to stop the interval syncer
 	done  chan struct{}
@@ -200,6 +200,27 @@ func listSegments(fsys iofault.FS, dir string) ([]uint64, error) {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	return seqs, nil
+}
+
+// SegmentNames returns the names of the segment files directly in dir,
+// ascending by sequence number. A nil fsys means the real filesystem; a
+// missing directory holds none.
+func SegmentNames(fsys iofault.FS, dir string) ([]string, error) {
+	if fsys == nil {
+		fsys = iofault.OS{}
+	}
+	seqs, err := listSegments(fsys, dir)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("wal: listing %s: %w", dir, err)
+	}
+	names := make([]string, len(seqs))
+	for i, seq := range seqs {
+		names[i] = segName(seq)
+	}
+	return names, nil
 }
 
 // Open creates (if needed) the log directory and starts a fresh active
