@@ -534,6 +534,10 @@ func (ix *Index) CellApprox(id int) ([]vec.Rect, bool) {
 // Fragments returns the number of rectangles stored in the index.
 func (ix *Index) Fragments() int { return int(ix.stats.fragments.Load()) }
 
+// Options returns the options the index runs with (normalized; a loaded
+// index has the persisted construction options and defaults for the rest).
+func (ix *Index) Options() Options { return ix.opts }
+
 // Tree exposes the backing X-tree for inspection (read-only use).
 func (ix *Index) Tree() *xtree.Tree { return ix.tree }
 

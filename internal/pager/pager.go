@@ -11,20 +11,24 @@
 // "total search time" can be reported the way the paper does (Fig. 7/10/11),
 // on hardware where the actual disk no longer dominates.
 //
-// Concurrency: a single global mutex guards the LRU and the counters, so page
-// accounting from concurrent queries is fully serialized. The critical
-// section is short — BenchmarkAccessHit measures ~20 ns for a cache hit (map
-// lookup + list move) and BenchmarkAccessSerial ~120 ns for the miss path
-// (insert + eviction, one list-element allocation) — which caps aggregate
-// accounting throughput at roughly 8–50 M accesses/s regardless of how many
-// query goroutines run, and BenchmarkAccessParallel shows no speedup over the
-// serial baseline. That ceiling sits far above the query engine's page-access
-// rate today, so the lock is not the serving bottleneck; if it becomes one,
-// shard the cache by PageID with a per-shard LRU budget (see DESIGN.md §9).
+// Accesses and writes allocate nothing and hash nothing. Page ids are dense
+// (freed ids are reused, so they stay below the peak live page count), and all
+// per-page state sits in one id-indexed slice: a live flag, a cached flag
+// and the prev/next links of an intrusive doubly linked LRU list whose
+// sentinel is the never-allocated id 0. A hit is a flag test and a relink; a
+// miss links the page in and, past the budget, unlinks the list's tail.
+//
+// Concurrency: a single mutex guards the LRU and the counters, so page
+// accounting from concurrent queries is serialized. That keeps every count
+// exact and the hit/miss sequence that of one global LRU, as the paper's
+// figures need. The critical section is short and allocation-free: see
+// BenchmarkAccessHit (hit), BenchmarkAccessSerial and
+// BenchmarkAccessParallel (miss plus eviction, one and many goroutines), and
+// DESIGN.md §9 for measured numbers. The query engines take the lock once
+// per search (AccessRun over the whole visit order), not once per node.
 package pager
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"time"
@@ -79,11 +83,22 @@ type Pager struct {
 	mu       sync.Mutex
 	pageSize int
 	cacheCap int
-	lru      *list.List // front = most recently used; values are PageID
-	loc      map[PageID]*list.Element
-	live     map[PageID]struct{}
-	next     PageID
-	stats    Stats
+	// pages is indexed by PageID. Slot 0 is never allocated and serves as
+	// the sentinel of the circular LRU list threaded through the cached
+	// slots: pages[0].next is the most recently used page, pages[0].prev the
+	// least recently used.
+	pages  []page
+	free   []PageID // freed ids, reused last-in first-out by Alloc
+	live   int
+	cached int
+	stats  Stats
+}
+
+// page is the per-id state of a Pager: lifetime and cache flags, and the
+// LRU links (meaningful while cached).
+type page struct {
+	prev, next   PageID
+	live, cached bool
 }
 
 // New returns a Pager with the given configuration.
@@ -97,10 +112,7 @@ func New(cfg Config) *Pager {
 	return &Pager{
 		pageSize: cfg.PageSize,
 		cacheCap: cfg.CachePages,
-		lru:      list.New(),
-		loc:      make(map[PageID]*list.Element),
-		live:     make(map[PageID]struct{}),
-		next:     1,
+		pages:    make([]page, 1),
 	}
 }
 
@@ -110,42 +122,62 @@ func (p *Pager) PageSize() int { return p.pageSize }
 // CachePages returns the configured cache budget in pages.
 func (p *Pager) CachePages() int { return p.cacheCap }
 
-// Alloc reserves a new page and returns its id. Freshly allocated pages are
-// not cached; the first Access after Alloc without an intervening Write is a
-// miss, matching a build that writes pages out as it goes.
+// Alloc reserves a page and returns its id. Ids of freed pages are reused;
+// a freed page is uncached, so reuse changes no count. Freshly allocated
+// pages are not cached; the first Access after Alloc without an intervening
+// Write is a miss, matching a build that writes pages out as it goes.
 func (p *Pager) Alloc() PageID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	id := p.next
-	p.next++
-	p.live[id] = struct{}{}
+	return p.allocLocked()
+}
+
+func (p *Pager) allocLocked() PageID {
+	var id PageID
+	if n := len(p.free); n > 0 {
+		id = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		id = PageID(len(p.pages))
+		p.pages = append(p.pages, page{})
+	}
+	p.pages[id].live = true
+	p.live++
 	p.stats.Allocs++
 	return id
 }
 
-// AllocRun reserves n consecutive pages (an X-tree supernode) and returns
-// their ids.
+// AllocRun reserves n pages (an X-tree supernode) and returns their ids.
 func (p *Pager) AllocRun(n int) []PageID {
 	ids := make([]PageID, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i := range ids {
-		ids[i] = p.Alloc()
+		ids[i] = p.allocLocked()
 	}
 	return ids
 }
 
+// mustLive panics unless id is allocated and not freed: touching any other
+// id indicates index-structure corruption, not a runtime condition.
+func (p *Pager) mustLive(op string, id PageID) {
+	if id >= PageID(len(p.pages)) || !p.pages[id].live {
+		panic(fmt.Sprintf("pager: %s of non-live page %d", op, id))
+	}
+}
+
 // Free releases a page and drops it from the cache. Freeing an unknown page
-// panics: it indicates index-structure corruption, not a runtime condition.
+// panics.
 func (p *Pager) Free(id PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.live[id]; !ok {
-		panic(fmt.Sprintf("pager: Free of non-live page %d", id))
+	p.mustLive("Free", id)
+	if p.pages[id].cached {
+		p.unlink(id)
 	}
-	delete(p.live, id)
-	if el, ok := p.loc[id]; ok {
-		p.lru.Remove(el)
-		delete(p.loc, id)
-	}
+	p.pages[id].live = false
+	p.live--
+	p.free = append(p.free, id)
 	p.stats.Frees++
 }
 
@@ -157,7 +189,8 @@ func (p *Pager) Access(id PageID) bool {
 	return p.accessLocked(id)
 }
 
-// AccessRun records reads of all pages of a multi-page node.
+// AccessRun records reads of all pages of a multi-page node, or of a whole
+// query's visit order, under one lock acquisition.
 func (p *Pager) AccessRun(ids []PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -167,12 +200,11 @@ func (p *Pager) AccessRun(ids []PageID) {
 }
 
 func (p *Pager) accessLocked(id PageID) bool {
-	if _, ok := p.live[id]; !ok {
-		panic(fmt.Sprintf("pager: Access of non-live page %d", id))
-	}
+	p.mustLive("Access", id)
 	p.stats.Accesses++
-	if el, ok := p.loc[id]; ok {
-		p.lru.MoveToFront(el)
+	if p.pages[id].cached {
+		p.unlink(id)
+		p.pushFront(id)
 		p.stats.Hits++
 		return true
 	}
@@ -185,36 +217,57 @@ func (p *Pager) accessLocked(id PageID) bool {
 func (p *Pager) Write(id PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.live[id]; !ok {
-		panic(fmt.Sprintf("pager: Write of non-live page %d", id))
-	}
+	p.mustLive("Write", id)
 	p.stats.Writes++
-	if el, ok := p.loc[id]; ok {
-		p.lru.MoveToFront(el)
+	if p.pages[id].cached {
+		p.unlink(id)
+		p.pushFront(id)
 		return
 	}
 	p.insertLocked(id)
 }
 
+// insertLocked caches an uncached page as most recently used and evicts the
+// least recently used page if that exceeds the budget.
 func (p *Pager) insertLocked(id PageID) {
 	if p.cacheCap == 0 {
 		return
 	}
-	p.loc[id] = p.lru.PushFront(id)
-	for p.lru.Len() > p.cacheCap {
-		back := p.lru.Back()
-		evicted := back.Value.(PageID)
-		p.lru.Remove(back)
-		delete(p.loc, evicted)
+	p.pushFront(id)
+	if p.cached > p.cacheCap {
+		p.unlink(p.pages[0].prev)
 	}
+}
+
+// pushFront links an uncached page in at the most recently used end.
+func (p *Pager) pushFront(id PageID) {
+	pg := p.pages
+	first := pg[0].next
+	pg[id].prev, pg[id].next, pg[id].cached = 0, first, true
+	pg[first].prev = id
+	pg[0].next = id
+	p.cached++
+}
+
+// unlink removes a cached page from the LRU list.
+func (p *Pager) unlink(id PageID) {
+	pg := p.pages
+	prev, next := pg[id].prev, pg[id].next
+	pg[prev].next = next
+	pg[next].prev = prev
+	pg[id].cached = false
+	p.cached--
 }
 
 // DropCache empties the LRU, simulating a cold start. Counters are preserved.
 func (p *Pager) DropCache() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.lru.Init()
-	p.loc = make(map[PageID]*list.Element)
+	for id := p.pages[0].next; id != 0; id = p.pages[id].next {
+		p.pages[id].cached = false
+	}
+	p.pages[0] = page{}
+	p.cached = 0
 }
 
 // Stats returns a snapshot of the counters.
@@ -237,7 +290,7 @@ func (p *Pager) ResetStats() {
 func (p *Pager) LivePages() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.live)
+	return p.live
 }
 
 // Capacity returns how many fixed-size entries of entryBytes fit on one page,

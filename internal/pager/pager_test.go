@@ -1,6 +1,8 @@
 package pager
 
 import (
+	"container/list"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -134,14 +136,22 @@ func TestFreeDropsFromCache(t *testing.T) {
 	id := p.Alloc()
 	p.Access(id)
 	p.Free(id)
-	id2 := p.Alloc()
-	_ = id2
-	defer func() {
-		if recover() == nil {
-			t.Error("access of freed page did not panic")
-		}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("access of freed page did not panic")
+			}
+		}()
+		p.Access(id)
 	}()
-	p.Access(id)
+	// The freed id is reused, and the reused page starts uncached.
+	id2 := p.Alloc()
+	if id2 != id {
+		t.Errorf("Alloc after Free = %d, want reused id %d", id2, id)
+	}
+	if p.Access(id2) {
+		t.Error("first access of a reallocated page was a hit")
+	}
 }
 
 func TestFreeUnknownPanics(t *testing.T) {
@@ -198,7 +208,7 @@ func TestInvariantsQuick(t *testing.T) {
 			default:
 				p.Access(ids[rng.Intn(len(ids))])
 			}
-			if p.lru.Len() > capPages {
+			if p.cached > capPages {
 				return false
 			}
 		}
@@ -230,6 +240,203 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// refPager is the reference model of the differential test: the textbook
+// LRU over a map and a container/list, with the Pager's semantics. It never
+// reuses ids.
+type refPager struct {
+	cacheCap int
+	lru      *list.List // front = most recently used; values are PageID
+	loc      map[PageID]*list.Element
+	live     map[PageID]struct{}
+	next     PageID
+	stats    Stats
+}
+
+func newRefPager(cachePages int) *refPager {
+	return &refPager{
+		cacheCap: cachePages,
+		lru:      list.New(),
+		loc:      make(map[PageID]*list.Element),
+		live:     make(map[PageID]struct{}),
+		next:     1,
+	}
+}
+
+func (p *refPager) Alloc() PageID {
+	id := p.next
+	p.next++
+	p.live[id] = struct{}{}
+	p.stats.Allocs++
+	return id
+}
+
+func (p *refPager) Free(id PageID) {
+	if _, ok := p.live[id]; !ok {
+		panic("refPager: Free of non-live page")
+	}
+	delete(p.live, id)
+	if el, ok := p.loc[id]; ok {
+		p.lru.Remove(el)
+		delete(p.loc, id)
+	}
+	p.stats.Frees++
+}
+
+func (p *refPager) Access(id PageID) bool {
+	if _, ok := p.live[id]; !ok {
+		panic("refPager: Access of non-live page")
+	}
+	p.stats.Accesses++
+	if el, ok := p.loc[id]; ok {
+		p.lru.MoveToFront(el)
+		p.stats.Hits++
+		return true
+	}
+	p.stats.Misses++
+	p.insert(id)
+	return false
+}
+
+func (p *refPager) Write(id PageID) {
+	if _, ok := p.live[id]; !ok {
+		panic("refPager: Write of non-live page")
+	}
+	p.stats.Writes++
+	if el, ok := p.loc[id]; ok {
+		p.lru.MoveToFront(el)
+		return
+	}
+	p.insert(id)
+}
+
+func (p *refPager) insert(id PageID) {
+	if p.cacheCap == 0 {
+		return
+	}
+	p.loc[id] = p.lru.PushFront(id)
+	for p.lru.Len() > p.cacheCap {
+		back := p.lru.Back()
+		p.lru.Remove(back)
+		delete(p.loc, back.Value.(PageID))
+	}
+}
+
+func (p *refPager) DropCache() {
+	p.lru.Init()
+	p.loc = make(map[PageID]*list.Element)
+}
+
+// TestMatchesReferenceLRU drives the Pager and the reference model with the
+// same seeded operation sequence. Pages are tracked as handles, each with
+// its id in both models (the Pager reuses freed ids, the model does not).
+// Every Access must agree on hit or miss, and after every operation the
+// counters, the live count and the LRU order (as handles) must agree.
+func TestMatchesReferenceLRU(t *testing.T) {
+	for _, capPages := range []int{0, 1, 7, 64} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("cache=%d/seed=%d", capPages, seed), func(t *testing.T) {
+				checkAgainstReference(t, capPages, seed)
+			})
+		}
+	}
+}
+
+func checkAgainstReference(t *testing.T, capPages int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	p, ref := New(Config{CachePages: capPages}), newRefPager(capPages)
+	type handle struct{ id, ref PageID }
+	var hs []handle
+	alloc := func(n int) {
+		ids := p.AllocRun(n)
+		for _, id := range ids {
+			hs = append(hs, handle{id, ref.Alloc()})
+		}
+	}
+	var run, refRun []PageID
+	for op := 0; op < 3000; op++ {
+		r := rng.Float64()
+		switch {
+		case len(hs) == 0 || r < 0.10:
+			alloc(1)
+		case r < 0.13:
+			alloc(1 + rng.Intn(4))
+		case r < 0.22:
+			i := rng.Intn(len(hs))
+			p.Free(hs[i].id)
+			ref.Free(hs[i].ref)
+			hs[i] = hs[len(hs)-1]
+			hs = hs[:len(hs)-1]
+		case r < 0.60:
+			h := hs[rng.Intn(len(hs))]
+			if got, want := p.Access(h.id), ref.Access(h.ref); got != want {
+				t.Fatalf("op %d: Access hit = %v, reference %v", op, got, want)
+			}
+		case r < 0.80:
+			run, refRun = run[:0], refRun[:0]
+			for n := rng.Intn(12); n > 0; n-- {
+				h := hs[rng.Intn(len(hs))]
+				run, refRun = append(run, h.id), append(refRun, h.ref)
+			}
+			p.AccessRun(run)
+			for _, id := range refRun {
+				ref.Access(id)
+			}
+		case r < 0.97:
+			h := hs[rng.Intn(len(hs))]
+			p.Write(h.id)
+			ref.Write(h.ref)
+		case r < 0.985:
+			p.DropCache()
+			ref.DropCache()
+		default:
+			p.ResetStats()
+			ref.stats = Stats{}
+		}
+		if got, want := p.Stats(), ref.stats; got != want {
+			t.Fatalf("op %d: Stats = %+v, reference %+v", op, got, want)
+		}
+		if got, want := p.LivePages(), len(ref.live); got != want {
+			t.Fatalf("op %d: LivePages = %d, reference %d", op, got, want)
+		}
+		if p.cached != ref.lru.Len() {
+			t.Fatalf("op %d: %d cached pages, reference %d", op, p.cached, ref.lru.Len())
+		}
+		toRef := make(map[PageID]PageID, len(hs))
+		for _, h := range hs {
+			toRef[h.id] = h.ref
+		}
+		el := ref.lru.Front()
+		for id := p.pages[0].next; id != 0; id = p.pages[id].next {
+			if el == nil || toRef[id] != el.Value.(PageID) {
+				t.Fatalf("op %d: LRU order differs from the reference", op)
+			}
+			el = el.Next()
+		}
+	}
+}
+
+// A warm pager's access path allocates nothing, misses and evictions
+// included.
+func TestAccessRunZeroAllocs(t *testing.T) {
+	p := New(Config{CachePages: 8})
+	ids := p.AllocRun(32)
+	p.AccessRun(ids)
+	p.ResetStats()
+	allocs := testing.AllocsPerRun(100, func() {
+		p.AccessRun(ids)
+		p.Write(ids[3])
+		p.Access(ids[0])
+	})
+	if allocs != 0 {
+		t.Errorf("AccessRun allocates %v per run, want 0", allocs)
+	}
+	// Cycling 32 pages through 8 slots misses (and evicts) at least 24
+	// times per run.
+	if st := p.Stats(); st.Misses < 100*24 {
+		t.Errorf("misses = %d: the run did not exercise the miss path", st.Misses)
+	}
+}
+
 func BenchmarkAccessHit(b *testing.B) {
 	p := New(Config{CachePages: 1})
 	id := p.Alloc()
@@ -241,11 +448,10 @@ func BenchmarkAccessHit(b *testing.B) {
 	}
 }
 
-// The serial/parallel pair below measures the cost of the pager's single
-// global mutex under the serving layer's concurrent-query access pattern.
-// The per-access critical section is tens of nanoseconds (a map lookup plus
-// an LRU list move), so the lock is the scaling bottleneck: see the package
-// doc comment and DESIGN.md §9 for measured numbers and the sharding plan.
+// The serial/parallel pair below measures the pager's single global mutex
+// under the serving layer's concurrent-query access pattern, on the miss and
+// eviction path (256 pages cycled through a 64-page cache). See the package
+// doc comment and DESIGN.md §9 for measured numbers.
 
 func BenchmarkAccessSerial(b *testing.B) {
 	p := New(Config{CachePages: 64})

@@ -69,6 +69,10 @@ type node struct {
 	// SoA layout (dimension j of entry i at [j*len(entries)+i]), maintained by
 	// writeNode; see the X-tree twin and DESIGN.md §8.
 	flatLo, flatHi []float64
+	// points records that every leaf entry is a point (Lo == Hi), so the
+	// k-NN scan may use the one-load point kernel vec.Dist2All. Maintained
+	// by syncFlat with the mirror.
+	points bool
 }
 
 // syncFlat rebuilds the SoA coordinate mirror of a leaf node. The layout is
@@ -85,11 +89,15 @@ func (n *node) syncFlat(d int) {
 	}
 	n.flatLo = n.flatLo[:want]
 	n.flatHi = n.flatHi[:want]
+	n.points = true
 	for i := range n.entries {
 		lo, hi := n.entries[i].rect.Lo, n.entries[i].rect.Hi
 		for j := 0; j < d; j++ {
 			n.flatLo[j*m+i] = lo[j]
 			n.flatHi[j*m+i] = hi[j]
+			if lo[j] != hi[j] {
+				n.points = false
+			}
 		}
 	}
 }
@@ -153,7 +161,7 @@ func New(d int, pg *pager.Pager, opts Options) *Tree {
 }
 
 func (t *Tree) newNode(level int) *node {
-	n := &node{page: t.pg.Alloc(), level: level}
+	n := &node{page: t.pg.Alloc(), level: level, points: level == 0}
 	t.pg.Write(n.page)
 	return n
 }
@@ -539,12 +547,19 @@ func (t *Tree) CheckInvariants() error {
 					len(n.flatLo), len(n.flatHi), len(n.entries))
 			}
 			m := len(n.entries)
+			points := true
 			for i := range n.entries {
 				for j := 0; j < t.dim; j++ {
 					if n.flatLo[j*m+i] != n.entries[i].rect.Lo[j] || n.flatHi[j*m+i] != n.entries[i].rect.Hi[j] {
 						return fmt.Errorf("rtree: stale leaf SoA mirror at entry %d dim %d", i, j)
 					}
+					if n.entries[i].rect.Lo[j] != n.entries[i].rect.Hi[j] {
+						points = false
+					}
 				}
+			}
+			if n.points != points {
+				return fmt.Errorf("rtree: leaf point flag %v, but entries all points: %v", n.points, points)
 			}
 			count += len(n.entries)
 			return nil

@@ -65,3 +65,48 @@ func BenchmarkDynamicInsert(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardNearestParallel measures exact read throughput on the
+// serving shape of the nn-d8-unique benchmark workload, without HTTP: n=10⁴
+// uniform points at d=8, S=4 grid routing, NN-Direction cells and a 64-page
+// pager per shard. Each worker runs its own stream of fresh uniform queries;
+// every 10th is a k=10 query, the rest single NN. Run it under -cpu 1,2 to
+// see how reads scale with workers (every query takes its shards' pager
+// locks):
+//
+//	go test -run '^$' -bench ShardNearestParallel -cpu 1,2 ./internal/shard/
+func BenchmarkShardNearestParallel(b *testing.B) {
+	const n, d = 10000, 8
+	rng := rand.New(rand.NewSource(1))
+	s, err := Build(dataset.Uniform(rng, n, d), vec.UnitCube(d), Options{
+		Shards: 4,
+		Route:  RouteGrid,
+		Pager:  pager.Config{CachePages: 64},
+		Index:  nncell.Options{Algorithm: nncell.NNDirection},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seeds atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(100 + seeds.Add(1)))
+		q := make(vec.Point, d)
+		var out []nncell.Neighbor
+		for i := 0; pb.Next(); i++ {
+			for j := range q {
+				q[j] = rng.Float64()
+			}
+			if i%10 == 9 {
+				out, err = s.KNearestAppend(out[:0], q, 10)
+			} else {
+				_, err = s.NearestNeighbor(q)
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}

@@ -387,14 +387,24 @@ func loadShardBlobs(br *bufio.Reader, sh *Sharded, opts Options) error {
 }
 
 // fillEmptyShards replaces absent shard slots with empty indexes over the
-// established data space.
+// established data space. They take the construction options of the first
+// present shard, so a restart builds cells in every shard the way the saved
+// index did; only when every shard is absent (the stream records no
+// options) do they take the loader's opts.Index.
 func fillEmptyShards(sh *Sharded, opts Options) error {
+	idxOpts := opts.Index
+	for _, ix := range sh.shards {
+		if ix != nil {
+			idxOpts = ix.Options()
+			break
+		}
+	}
 	for i := range sh.shards {
 		if sh.shards[i] != nil {
 			continue
 		}
 		pg := pager.New(opts.Pager)
-		ix, err := nncell.NewEmpty(sh.dim, sh.bounds, pg, opts.Index)
+		ix, err := nncell.NewEmpty(sh.dim, sh.bounds, pg, idxOpts)
 		if err != nil {
 			return fmt.Errorf("shard: load: shard %d: %w", i, err)
 		}

@@ -179,3 +179,60 @@ func FuzzShardLoad(f *testing.F) {
 		}
 	})
 }
+
+// A loaded index recreates its absent (empty) shards with the construction
+// options of its present shards, not the loader's: inserts into the empty
+// grid tile of a reloaded Sphere index cost exactly the LP solves they cost
+// on the original.
+func TestLoadEmptyShardKeepsOptions(t *testing.T) {
+	const d = 2
+	rng := rand.New(rand.NewSource(41))
+	var pts, fresh []vec.Point
+	for len(pts) < 200 || len(fresh) < 30 {
+		p := vec.Point{rng.Float64(), rng.Float64()}
+		if p[0] >= 0.5 || p[1] >= 0.5 {
+			pts = append(pts, p)
+		} else {
+			fresh = append(fresh, p) // the lower-left tile stays empty
+		}
+	}
+	pts, fresh = pts[:200], fresh[:30]
+	opts := testOptions(4)
+	opts.Route = RouteGrid
+	orig, err := Build(pts, vec.UnitCube(d), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := orig.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := -1
+	for i := 0; i < orig.NumShards(); i++ {
+		if orig.Shard(i).Len() == 0 {
+			empty = i
+		}
+	}
+	if empty < 0 {
+		t.Fatal("no empty shard in the build")
+	}
+	if got := loaded.Shard(empty).Options().Algorithm; got != nncell.Sphere {
+		t.Errorf("reloaded empty shard runs %v, want Sphere", got)
+	}
+	solves := func(s *Sharded) uint64 {
+		before := s.Shard(empty).Stats().LPSolves
+		for _, p := range fresh {
+			if _, err := s.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.Shard(empty).Stats().LPSolves - before
+	}
+	if a, b := solves(orig), solves(loaded); a != b {
+		t.Errorf("inserts into the empty tile: %d LP solves on the original, %d after reload", a, b)
+	}
+}

@@ -329,6 +329,31 @@ func MinDist2All(p Point, lo, hi []float64, out []float64) {
 	}
 }
 
+// Dist2All is MinDist2All for a mirror of points (every rectangle has
+// lo == hi): out[i] is the squared Euclidean distance from p to point i of
+// the dimension-major mirror pts, whose dimension j of point i lives at
+// pts[j*len(out)+i]. Per coordinate it makes one load, one subtraction and
+// one multiply. (lo-v)² equals max(lo-v, v-lo, 0)² bit for bit (the two
+// differences are exact negations and squaring drops the sign), and the
+// dimension order is the same, so on degenerate rectangles the results are
+// bitwise those of MinDist2All.
+func Dist2All(p Point, pts []float64, out []float64) {
+	m := len(out)
+	v := p[0]
+	for i, x := range pts[:m] {
+		d := x - v
+		out[i] = d * d
+	}
+	for j := 1; j < len(p); j++ {
+		v := p[j]
+		col := pts[j*m : (j+1)*m]
+		for i := range out {
+			d := col[i] - v
+			out[i] += d * d
+		}
+	}
+}
+
 // SplitAt cuts r at coordinate c in dimension dim and returns the lower and
 // upper parts. The cut is clamped to r's extent, so one part may be
 // degenerate (zero extent) but never inverted.

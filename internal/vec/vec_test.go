@@ -445,3 +445,65 @@ func TestMinDist2KernelsBitwise(t *testing.T) {
 		}
 	}
 }
+
+// On a mirror of points, Dist2All must give MinDist2All's results bit for
+// bit, and those of Euclidean.Dist2 too: the data-tree k-NN engine switches
+// kernels per leaf and its answers are compared with the scan oracle's by ==.
+// Coordinates mix ±0, ordinary values, and magnitudes near 1e±150 whose
+// squares sit near the ends of the float64 range (overflow to +Inf and
+// underflow to subnormals or zero included).
+func TestDist2AllBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pick := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return (rng.Float64()*2 - 1) * 1e150
+		case 3:
+			return (rng.Float64()*2 - 1) * 1e155
+		case 4:
+			return (rng.Float64()*2 - 1) * 1e-150
+		case 5:
+			return (rng.Float64()*2 - 1) * 1e-160
+		default:
+			return rng.Float64()*4 - 2
+		}
+	}
+	for _, d := range []int{1, 2, 8, 17} {
+		const m = 41
+		pts := make([]Point, m)
+		flat := make([]float64, d*m)
+		for i := range pts {
+			pts[i] = make(Point, d)
+			for j := range pts[i] {
+				pts[i][j] = pick()
+				flat[j*m+i] = pts[i][j]
+			}
+		}
+		got := make([]float64, m)
+		want := make([]float64, m)
+		for qi := 0; qi < 300; qi++ {
+			q := make(Point, d)
+			for j := range q {
+				if qi%3 == 0 { // share coordinates with the stored points
+					q[j] = pts[rng.Intn(m)][j]
+				} else {
+					q[j] = pick()
+				}
+			}
+			Dist2All(q, flat, got)
+			MinDist2All(q, flat, flat, want)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("d=%d point %d: Dist2All %v, MinDist2All %v", d, i, got[i], want[i])
+				}
+				if e := (Euclidean{}).Dist2(q, pts[i]); math.Float64bits(got[i]) != math.Float64bits(e) {
+					t.Fatalf("d=%d point %d: Dist2All %v, Dist2 %v", d, i, got[i], e)
+				}
+			}
+		}
+	}
+}

@@ -386,7 +386,11 @@ func (t *Tree) KNearestCtx(qc *QueryCtx, q vec.Point, k int, bound float64, out 
 				qc.acc = make([]float64, 0, 2*m)
 			}
 			qc.acc = qc.acc[:m]
-			vec.MinDist2All(q, n.flatLo, n.flatHi, qc.acc)
+			if n.points {
+				vec.Dist2All(q, n.flatLo, qc.acc)
+			} else {
+				vec.MinDist2All(q, n.flatLo, n.flatHi, qc.acc)
+			}
 		}
 		for i := range n.entries {
 			if n.level == 0 {

@@ -74,6 +74,10 @@ type node struct {
 	// dimension-first instead of chasing per-entry slice headers (see
 	// DESIGN.md §8).
 	flatLo, flatHi []float64
+	// points records that every leaf entry is a point (Lo == Hi), so the
+	// k-NN scan may use the one-load point kernel vec.Dist2All. Maintained
+	// by syncFlat with the mirror.
+	points bool
 }
 
 // syncFlat rebuilds the SoA coordinate mirror of a leaf node. The layout is
@@ -90,11 +94,15 @@ func (n *node) syncFlat(d int) {
 	}
 	n.flatLo = n.flatLo[:want]
 	n.flatHi = n.flatHi[:want]
+	n.points = true
 	for i := range n.entries {
 		lo, hi := n.entries[i].rect.Lo, n.entries[i].rect.Hi
 		for j := 0; j < d; j++ {
 			n.flatLo[j*m+i] = lo[j]
 			n.flatHi[j*m+i] = hi[j]
+			if lo[j] != hi[j] {
+				n.points = false
+			}
 		}
 	}
 }
@@ -148,7 +156,7 @@ func New(d int, pg *pager.Pager, opts Options) *Tree {
 }
 
 func (t *Tree) newNode(level, pages int) *node {
-	n := &node{pages: t.pg.AllocRun(pages), level: level}
+	n := &node{pages: t.pg.AllocRun(pages), level: level, points: level == 0}
 	for _, id := range n.pages {
 		t.pg.Write(id)
 	}
@@ -709,12 +717,19 @@ func (t *Tree) CheckInvariants() error {
 					len(n.flatLo), len(n.flatHi), len(n.entries))
 			}
 			m := len(n.entries)
+			points := true
 			for i := range n.entries {
 				for j := 0; j < t.dim; j++ {
 					if n.flatLo[j*m+i] != n.entries[i].rect.Lo[j] || n.flatHi[j*m+i] != n.entries[i].rect.Hi[j] {
 						return fmt.Errorf("xtree: stale leaf SoA mirror at entry %d dim %d", i, j)
 					}
+					if n.entries[i].rect.Lo[j] != n.entries[i].rect.Hi[j] {
+						points = false
+					}
 				}
+			}
+			if n.points != points {
+				return fmt.Errorf("xtree: leaf point flag %v, but entries all points: %v", n.points, points)
 			}
 			count += len(n.entries)
 			return nil
